@@ -275,9 +275,15 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
 #
 # Every moment entering beta on two modes is a bilinear combination of the
 # 36 pair moments <O_1 O_2> with O drawn from {1, a, a^dag, N, a^2, a^dag^2}.
-# Precomputing that table once per state turns each beta evaluation into two
-# small einsum contractions, which is what makes large randomized sweeps
-# affordable on one core.
+# Precomputing that table once per state turns each beta evaluation into a
+# closed form over the few entries that can be nonzero, which is what makes
+# large randomized sweeps affordable on one core. With c = cos(delta):
+#   - B(+1) = b has coefficients (u, v) on (a, a^dag), and B(-1) = b^dag has
+#     (v*, u*), so <prod B> reads only the 2x2 block of {a, a^dag};
+#   - c N_b + 1/2 has coefficients (1 - c/2, 1, w, w*) on (1, N, a^2, a^dag^2)
+#     with w = c u v* = e^{-2i theta} (1 - e^{-2i delta}) / 4, using
+#     c |v|^2 + 1/2 = 1 - c/2 and c (|u|^2 + |v|^2) = 1, so the rhs product
+#     reads only the 4x4 block of {1, N, a^2, a^dag^2}.
 
 _TABLE_OPS = ("identity", "annihilate", "create", "number",
               "annihilate2", "create2")
@@ -329,34 +335,40 @@ def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
     """
     thetas = np.asarray(thetas, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
-    cosd = np.cos(deltas)
-    if np.any(cosd <= 0):
+    if np.any(np.abs(deltas) >= math.pi / 2):
         raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
+    phase_d = np.exp(-1j * deltas)
+    cosd = phase_d.real
     root = 2.0 * np.sqrt(cosd)
-    u = (1.0 + np.exp(-1j * deltas)) / root
-    v = np.exp(2j * thetas) * (1.0 - np.exp(1j * deltas)) / root
+    phase_t = np.exp(2j * thetas)
+    u = (1.0 + phase_d) / root
+    v = phase_t * (1.0 - phase_d.conj()) / root
+    w = phase_t.conj() * (1.0 - phase_d * phase_d) / 4.0
+    t = table
 
-    shape = thetas.shape[:-1] + (2, 6)
-    fwd_coeff = np.zeros(shape, dtype=complex)
-    rhs_coeff = np.zeros(shape, dtype=complex)
+    coeffs = []
     for k, s in enumerate(signs):
-        uk, vk, ck = u[..., k], v[..., k], cosd[..., k]
         if s == 1:
-            fwd_coeff[..., k, 1] = uk
-            fwd_coeff[..., k, 2] = vk
+            coeffs.append((u[..., k], v[..., k]))
         elif s == -1:
-            fwd_coeff[..., k, 1] = np.conj(vk)
-            fwd_coeff[..., k, 2] = np.conj(uk)
+            coeffs.append((v[..., k].conj(), u[..., k].conj()))
         else:
             raise SettingsError(f"sign must be +1 or -1, got {s}")
-        rhs_coeff[..., k, 0] = ck * np.abs(vk) ** 2 + 0.5
-        rhs_coeff[..., k, 3] = ck * (np.abs(uk) ** 2 + np.abs(vk) ** 2)
-        rhs_coeff[..., k, 4] = ck * uk * np.conj(vk)
-        rhs_coeff[..., k, 5] = ck * np.conj(uk) * vk
-    fwd = np.einsum("...i,...j,...ij->...", fwd_coeff[..., 0, :],
-                    fwd_coeff[..., 1, :], table)
-    rhs = np.einsum("...i,...j,...ij->...", rhs_coeff[..., 0, :],
-                    rhs_coeff[..., 1, :], table)
+    (p1, q1), (p2, q2) = coeffs
+    fwd = (p1 * (p2 * t[..., 1, 1] + q2 * t[..., 1, 2])
+           + q1 * (p2 * t[..., 2, 1] + q2 * t[..., 2, 2]))
+
+    # rhs coefficients per mode: (1 - c/2, 1, w, w*) on (1, N, a^2, a^dag^2)
+    ident = 1.0 - 0.5 * cosd
+    w1, w2 = w[..., 0], w[..., 1]
+    w2c = w2.conj()
+
+    def rhs_row(i):
+        return (ident[..., 1] * t[..., i, 0] + t[..., i, 3] + w2 * t[..., i, 4]
+                + w2c * t[..., i, 5])
+
+    rhs = (ident[..., 0] * rhs_row(0) + rhs_row(3) + w1 * rhs_row(4)
+           + w1.conj() * rhs_row(5))
     return np.abs(fwd) ** 2 - rhs.real / (cosd[..., 0] * cosd[..., 1])
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,14 +19,6 @@ from scipy.optimize import minimize
 from .cfrd import (CfrdReport, QuadratureSettings, cfrd_beta, cfrd_evaluate)
 
 DELTA_MARGIN = 0.05
-
-
-def worker_count() -> int:
-    """Thread count from CVBELL_THREADS, defaulting to machine parallelism."""
-    raw = os.environ.get("CVBELL_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    return max(1, int(raw))
 
 
 @dataclass(frozen=True)
@@ -134,8 +125,8 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         f = np.take_along_axis(f, order, axis=1)
         x = np.take_along_axis(x, order[:, :, None], axis=1)
         spread = f[:, -1] - f[:, 0]
-        size = np.abs(x - x[:, :1, :]).max(axis=(1, 2))
-        if spread.max() < fatol and size.max() < xatol:
+        if (spread.max() < fatol
+                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < xatol):
             break
 
         centroid = x[:, :-1, :].mean(axis=1)
@@ -145,10 +136,9 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
         xe = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
         fe = fn(xe)
-        xc_out = np.clip(centroid + 0.5 * (xr - centroid), lo, hi)
-        xc_in = np.clip(centroid - 0.5 * (centroid - worst), lo, hi)
         outside = fr < f[:, -1]
-        xc = np.where(outside[:, None], xc_out, xc_in)
+        xc = np.clip(np.where(outside[:, None], centroid + 0.5 * (xr - centroid),
+                              centroid - 0.5 * (centroid - worst)), lo, hi)
         fc = fn(xc)
 
         expand = fr < f[:, 0]
@@ -162,15 +152,14 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                              np.where(contract_ok[:, None], xc, xr))
         new_fworst = np.where(take_e, fe, np.where(contract_ok, fc, fr))
         keep = expand | reflect | contract_ok
-        x[:, -1, :] = np.where(keep[:, None], new_worst, x[:, -1, :])
-        f[:, -1] = np.where(keep, new_fworst, f[:, -1])
+        x[keep, -1] = new_worst[keep]
+        f[keep, -1] = new_fworst[keep]
 
         if shrink.any():
             shrunk = x[:, :1, :] + 0.5 * (x[:, 1:, :] - x[:, :1, :])
             fs = fn(shrunk)
-            mask = shrink[:, None]
-            x[:, 1:, :] = np.where(mask[:, :, None], shrunk, x[:, 1:, :])
-            f[:, 1:] = np.where(mask, fs, f[:, 1:])
+            x[shrink, 1:] = shrunk[shrink]
+            f[shrink, 1:] = fs[shrink]
 
     best = np.argmin(f, axis=1)
     idx = np.arange(batch)
@@ -235,6 +224,13 @@ def _scan_sign_choices(n: int, exhaustive: bool):
     return [tuple(-1 if k < m else 1 for k in range(n)) for m in range(1, n)]
 
 
+# A scan candidate must beat the best ratio by more than this to replace it.
+# Ratios that tie up to rounding (every grid point at odd n, where lhs is 0;
+# every sign pattern at large alpha, where they differ by e^{-2n|alpha|^2})
+# then keep the first candidate in grid-then-sign order.
+SCAN_TIE_TOLERANCE = 1e-12
+
+
 def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
                     sign: int, exhaustive_signs: bool = False) -> list[ScanRow]:
     """Best lhs/rhs ratio over the alpha grid for each mode count (delta=0)."""
@@ -250,7 +246,7 @@ def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
                 settings = QuadratureSettings((0.0,) * n, (0.0,) * n, signs)
                 rep = cfrd_evaluate(state, settings, expand_s_squared=False)
                 ratio = rep.lhs / rep.rhs
-                if best is None or ratio > best.ratio:
+                if best is None or ratio > best.ratio + SCAN_TIE_TOLERANCE:
                     best = ScanRow(n=n, alpha=complex(alpha), lhs=rep.lhs,
                                    rhs=rep.rhs, ratio=ratio, beta=rep.beta,
                                    signs=signs)

@@ -241,3 +241,108 @@ def test_moment_table_batch_axis():
     singles = [float(beta_from_table(table, t, d, (1, -1)))
                for t, d in zip(thetas, deltas)]
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+ALL_SIGNS = ((1, -1), (-1, 1), (1, 1), (-1, -1))
+DELTA_EDGE = math.pi / 2 - 0.05  # the search's delta box edge
+
+
+def _simplex_settings(rng, shape):
+    """Random (thetas, deltas) over the search box, each of ``shape + (2,)``."""
+    thetas = rng.uniform(0, 2 * math.pi, shape + (2,))
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, shape + (2,))
+    deltas[0, 0] = [DELTA_EDGE, -DELTA_EDGE]
+    return thetas, deltas
+
+
+def _dense_beta_reference(table, thetas, deltas, signs):
+    """beta with full 6-entry coefficient vectors per mode contracted against
+    the whole table; returns beta and the scale |lhs| + |rhs| of its terms."""
+    cosd = np.cos(deltas)
+    root = 2.0 * np.sqrt(cosd)
+    u = (1.0 + np.exp(-1j * deltas)) / root
+    v = np.exp(2j * thetas) * (1.0 - np.exp(1j * deltas)) / root
+    fwd_coeff = np.zeros(thetas.shape + (6,), dtype=complex)
+    rhs_coeff = np.zeros(thetas.shape + (6,), dtype=complex)
+    for k, s in enumerate(signs):
+        uk, vk, ck = u[..., k], v[..., k], cosd[..., k]
+        fwd_coeff[..., k, 1:3] = np.stack(
+            (uk, vk) if s == 1 else (np.conj(vk), np.conj(uk)), axis=-1)
+        rhs_coeff[..., k, 0] = ck * np.abs(vk) ** 2 + 0.5
+        rhs_coeff[..., k, 3] = ck * (np.abs(uk) ** 2 + np.abs(vk) ** 2)
+        rhs_coeff[..., k, 4] = ck * uk * np.conj(vk)
+        rhs_coeff[..., k, 5] = ck * np.conj(uk) * vk
+    fwd = np.einsum("...i,...j,...ij->...", fwd_coeff[..., 0, :],
+                    fwd_coeff[..., 1, :], table)
+    rhs = np.einsum("...i,...j,...ij->...", rhs_coeff[..., 0, :],
+                    rhs_coeff[..., 1, :], table).real / cosd.prod(axis=-1)
+    return np.abs(fwd) ** 2 - rhs, np.abs(fwd) ** 2 + np.abs(rhs)
+
+
+def test_beta_from_table_matches_dense_reference():
+    # arbitrary complex tables give every entry an independent value, so a
+    # wrong index or coefficient in the closed form shows
+    from cvbell import beta_from_table
+
+    rng = np.random.default_rng(4)
+    tables = (rng.normal(size=(40, 1, 6, 6))
+              + 1j * rng.normal(size=(40, 1, 6, 6)))
+    thetas, deltas = _simplex_settings(rng, (40, 5))
+    for signs in ALL_SIGNS:
+        fast = beta_from_table(tables, thetas, deltas, signs)
+        ref, scale = _dense_beta_reference(tables, thetas, deltas, signs)
+        assert fast.shape == (40, 5)
+        assert np.all(np.abs(fast - ref) <= 1e-12 * scale)
+
+
+def test_beta_from_table_simplex_shapes():
+    # the batched simplex pairs per-row tables (B, 6, 6) with settings (B, 2)
+    # and per-row tables (B, 1, 6, 6) with vertex settings (B, V, 2)
+    from cvbell import beta_from_table, cfrd_beta, two_mode_moment_table
+
+    states = [random_state(ModeSpec(2, 6), "pure" if i % 2 else "mixed",
+                           headroom=3, seed=30 + i) for i in range(4)]
+    tables = np.stack([two_mode_moment_table(s) for s in states])
+    rng = np.random.default_rng(9)
+    thetas, deltas = _simplex_settings(rng, (4, 5))
+    for signs in ALL_SIGNS:
+        rows = beta_from_table(tables, thetas[:, 0], deltas[:, 0], signs)
+        vertices = beta_from_table(tables[:, None], thetas, deltas, signs)
+        assert rows.shape == (4,) and vertices.shape == (4, 5)
+        np.testing.assert_array_equal(rows, vertices[:, 0])
+        for b, state in enumerate(states):
+            for j in range(5):
+                scalar = cfrd_beta(state, thetas[b, j], deltas[b, j], signs)
+                assert vertices[b, j] == pytest.approx(scalar, abs=1e-10)
+
+    with pytest.raises(SettingsError):
+        beta_from_table(tables, thetas[:, 0], deltas[:, 0], (1, 0))
+    for edge in (math.pi / 2, -math.pi / 2, 2.0):
+        bad = deltas[:, 0].copy()
+        bad[2, 1] = edge
+        with pytest.raises(SettingsError):
+            beta_from_table(tables, thetas[:, 0], bad, (1, -1))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_beta_invariant_under_global_sign_flip(seed):
+    # <prod B(-s)> = conj <prod B(s)> and the rhs does not depend on s, so
+    # beta(theta, delta, s) = beta(theta, delta, -s) on any state
+    from cvbell import beta_from_table, cfrd_beta, two_mode_moment_table
+
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    kind = "pure" if seed % 4 < 2 else "mixed"
+    state = random_state(ModeSpec(n, 4), kind, headroom=2, seed=seed)
+    thetas = rng.uniform(0, 2 * math.pi, n)
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, n)
+    signs = tuple(int(s) for s in rng.choice([1, -1], n))
+    flipped = tuple(-s for s in signs)
+    assert cfrd_beta(state, thetas, deltas, flipped) == pytest.approx(
+        cfrd_beta(state, thetas, deltas, signs), rel=1e-12, abs=1e-12)
+    if n == 2:
+        table = two_mode_moment_table(state)
+        assert float(beta_from_table(table, thetas, deltas, flipped)) == (
+            pytest.approx(float(beta_from_table(table, thetas, deltas, signs)),
+                          rel=1e-12, abs=1e-12))

@@ -154,3 +154,23 @@ def test_batch_sweep_matches_scalar_optimizer():
         res = optimize_settings(state, SettingsSearchSpec(
             n_modes=2, restarts=8, seed=5, max_evals=20_000))
         assert fast == pytest.approx(res.report.beta, abs=1e-4)
+
+
+def test_scan_ties_keep_first_candidate():
+    # odd n: lhs is exactly 0 at every grid point and sign pattern, so the
+    # row keeps the first candidate instead of a rounding-noise argmax; even
+    # n: the best ratio (18/19)^n sits at the grid's edge |alpha| = 3, where
+    # every sign pattern ties up to e^{-36 n} and the first one is kept
+    grid = default_alpha_grid(60)
+    # up to six modes the scan enumerates every nontrivial pattern, above six
+    # one representative per count of -1 labels
+    first_signs = {1: (1,), 2: (1, -1), 3: (1, 1, -1), 4: (1, 1, 1, -1),
+                   7: (-1, 1, 1, 1, 1, 1, 1), 8: (-1, 1, 1, 1, 1, 1, 1, 1)}
+    for sign in (1, -1):
+        for row in scan_cat_family(sorted(first_signs), grid, sign=sign):
+            assert row.signs == first_signs[row.n]
+            if row.n % 2:
+                assert row.alpha == grid[0]
+            else:
+                assert row.alpha == 3.0
+                assert row.ratio == pytest.approx((18 / 19) ** row.n, rel=1e-12)
