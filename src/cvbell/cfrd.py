@@ -28,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HeadroomError, NumericalConsistencyError, SettingsError
-from .fock import DenseState, monomial_matrix, product_operator_expectation
-from .structured import NormalOrderedPoly, StructuredState, structured_poly_expectation
+from .errors import NumericalConsistencyError, SettingsError
+from .fock import DenseState, product_operator_expectation  # noqa: F401  (kept importable from cfrd)
+from .moments import poly_expectations
+from .structured import NormalOrderedPoly
 
 VIOLATION_THRESHOLD = 1e-9
 
@@ -49,6 +50,8 @@ class QuadratureSettings:
             raise SettingsError("thetas, deltas, signs must have equal length")
         if n < 1:
             raise SettingsError("at least one mode required")
+        if not all(math.isfinite(t) for t in self.thetas):
+            raise SettingsError("thetas must be finite")
         for d in self.deltas:
             if not abs(d) < math.pi / 2:
                 raise SettingsError(
@@ -117,15 +120,20 @@ class CfrdReport:
     settings: QuadratureSettings
 
 
+def _quadrature_polys(theta: float, delta: float, s: int,
+                      ) -> tuple[NormalOrderedPoly, NormalOrderedPoly]:
+    """The two quadratures X and Y as normal-ordered polynomials."""
+    phi = theta + delta + s * math.pi / 2
+    return tuple(NormalOrderedPoly({(0, 1): cmath.exp(-1j * angle),
+                                    (1, 0): cmath.exp(1j * angle)})
+                 for angle in (theta, phi))
+
+
 def quadrature_matrices(d: int, theta: float, delta: float, s: int,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated d x d matrices of the two quadratures X and Y."""
-    a = monomial_matrix(d, 0, 1)
-    ad = monomial_matrix(d, 1, 0)
-    phi = theta + delta + s * math.pi / 2
-    x = cmath.exp(-1j * theta) * a + cmath.exp(1j * theta) * ad
-    y = cmath.exp(-1j * phi) * a + cmath.exp(1j * phi) * ad
-    return x, y
+    x, y = _quadrature_polys(theta, delta, s)
+    return x.to_matrix(d), y.to_matrix(d)
 
 
 def _real_part(value: complex, what: str, tol: float = 1e-8) -> float:
@@ -134,42 +142,21 @@ def _real_part(value: complex, what: str, tol: float = 1e-8) -> float:
     return value.real
 
 
-# ---------------------------------------------------------------------------
-# per-mode operator construction (dense path: exact monomial matrices)
+def _mode_polys(settings: QuadratureSettings) -> list[tuple[NormalOrderedPoly, ...]]:
+    """(b, b^dag, N_b, cos_delta*N_b + 1/2) for each mode."""
+    polys = []
+    for (u, v), delta in zip(mode_transform(settings), settings.deltas):
+        b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
+        bdag = b.dagger()
+        n_b = bdag * b
+        rhs_factor = n_b.scale(math.cos(delta)) + NormalOrderedPoly({(0, 0): 0.5})
+        polys.append((b, bdag, n_b, rhs_factor))
+    return polys
 
 
-def _dense_mode_matrices(d: int, u: complex, v: complex, cos_delta: float):
-    """(b, b^dag, N_b, cos_delta*N_b + 1/2) as exact d x d matrices."""
-    a = monomial_matrix(d, 0, 1)
-    ad = monomial_matrix(d, 1, 0)
-    num = monomial_matrix(d, 1, 1)
-    a2 = monomial_matrix(d, 0, 2)
-    ad2 = monomial_matrix(d, 2, 0)
-    eye = np.eye(d)
-    b = u * a + v * ad
-    bdag = b.conj().T
-    # b^dag b = |u|^2 a^dag a + u* v a^dag^2 + u v* a^2 + |v|^2 (a^dag a + 1)
-    n_b = (abs(u) ** 2 * num + u.conjugate() * v * ad2 + u * v.conjugate() * a2
-           + abs(v) ** 2 * (num + eye))
-    rhs_factor = cos_delta * n_b + 0.5 * eye
-    return b, bdag, n_b, rhs_factor
-
-
-def _structured_mode_polys(u: complex, v: complex, cos_delta: float):
-    b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
-    bdag = b.dagger()
-    n_b = bdag * b
-    rhs_factor = n_b.scale(cos_delta) + NormalOrderedPoly({(0, 0): 0.5})
-    return b, bdag, n_b, rhs_factor
-
-
-def _check_dense_headroom(state: DenseState, transform: ModeTransform) -> None:
-    for k, (u, v) in enumerate(transform):
-        need = 2 if abs(v) > 0 else 1
-        if state.headroom < need:
-            raise HeadroomError(
-                f"evaluation needs headroom {need} on mode {k}, "
-                f"state has {state.headroom}")
+def _b_pick(polys, signs: Sequence[int]) -> dict[int, NormalOrderedPoly]:
+    """prod_k B_k(s_k): b_k where s_k = +1, b_k^dag where s_k = -1."""
+    return {k: polys[k][0] if s == 1 else polys[k][1] for k, s in enumerate(signs)}
 
 
 def cfrd_evaluate(state, settings: QuadratureSettings,
@@ -183,53 +170,30 @@ def cfrd_evaluate(state, settings: QuadratureSettings,
     n = settings.n_modes
     if n != state.n_modes:
         raise SettingsError("settings length does not match state mode count")
-    transform = mode_transform(settings)
+    polys = _mode_polys(settings)
     cos_all = [math.cos(d) for d in settings.deltas]
     cos_prod = math.prod(cos_all)
+    subsets = []
+    if expand_s_squared:
+        subsets = [subset for size in range(n)
+                   for subset in itertools.combinations(range(n), size)]
+    picks = [_b_pick(polys, settings.signs),
+             _b_pick(polys, [-s for s in settings.signs]),
+             {k: p[2] for k, p in enumerate(polys)},
+             {k: p[3] for k, p in enumerate(polys)}]
+    picks += [{k: polys[k][2] for k in subset} for subset in subsets]
+    mean_fwd, mean_rev, prod_n, rhs, *terms = poly_expectations(state, picks)
 
-    dense = isinstance(state, DenseState)
-    if dense:
-        _check_dense_headroom(state, transform)
-        mats = [_dense_mode_matrices(state.cutoff, u, v, c)
-                for (u, v), c in zip(transform, cos_all)]
-
-        def product_mean(pick) -> complex:
-            return product_operator_expectation(
-                state, {k: m for k, m in pick.items()})
-
-        b_of = {k: (mats[k][0], mats[k][1]) for k in range(n)}
-        num_of = {k: mats[k][2] for k in range(n)}
-        rhsfac_of = {k: mats[k][3] for k in range(n)}
-    elif isinstance(state, StructuredState):
-        polys = [_structured_mode_polys(u, v, c)
-                 for (u, v), c in zip(transform, cos_all)]
-
-        def product_mean(pick) -> complex:
-            return structured_poly_expectation(state, pick)
-
-        b_of = {k: (polys[k][0], polys[k][1]) for k in range(n)}
-        num_of = {k: polys[k][2] for k in range(n)}
-        rhsfac_of = {k: polys[k][3] for k in range(n)}
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-
-    mean_fwd = product_mean({k: b_of[k][0] if s == 1 else b_of[k][1]
-                             for k, s in enumerate(settings.signs)})
-    mean_rev = product_mean({k: b_of[k][1] if s == 1 else b_of[k][0]
-                             for k, s in enumerate(settings.signs)})
     lhs = abs(mean_fwd) ** 2
-    prod_n = _real_part(product_mean(num_of), "<prod N>")
-    rhs = _real_part(product_mean(rhsfac_of), "rhs product") / cos_prod
+    prod_n = _real_part(prod_n, "<prod N>")
+    rhs = _real_part(rhs, "rhs product") / cos_prod
 
     if expand_s_squared:
         s_squared = 0.0
-        for size in range(n):
-            for subset in itertools.combinations(range(n), size):
-                term = _real_part(product_mean({k: num_of[k] for k in subset}),
-                                  "S^2 term")
-                weight = (0.5 ** (n - size)
-                          * math.prod(cos_all[k] for k in subset) / cos_prod)
-                s_squared += weight * term
+        for subset, term in zip(subsets, terms):
+            weight = (0.5 ** (n - len(subset))
+                      * math.prod(cos_all[k] for k in subset) / cos_prod)
+            s_squared += weight * _real_part(term, "S^2 term")
     else:
         s_squared = rhs - prod_n
 
@@ -247,26 +211,10 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
     """lhs - rhs only; the lean objective for settings optimization."""
     settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
-    n = settings.n_modes
-    transform = mode_transform(settings)
+    polys = _mode_polys(settings)
+    fwd, rhs = poly_expectations(state, [_b_pick(polys, settings.signs),
+                                         {k: p[3] for k, p in enumerate(polys)}])
     cos_all = [math.cos(d) for d in settings.deltas]
-    if isinstance(state, DenseState):
-        _check_dense_headroom(state, transform)
-        mats = [_dense_mode_matrices(state.cutoff, u, v, c)
-                for (u, v), c in zip(transform, cos_all)]
-        fwd = product_operator_expectation(
-            state, {k: mats[k][0] if s == 1 else mats[k][1]
-                    for k, s in enumerate(settings.signs)})
-        rhs = product_operator_expectation(state, {k: mats[k][3] for k in range(n)})
-    elif isinstance(state, StructuredState):
-        polys = [_structured_mode_polys(u, v, c)
-                 for (u, v), c in zip(transform, cos_all)]
-        fwd = structured_poly_expectation(
-            state, {k: polys[k][0] if s == 1 else polys[k][1]
-                    for k, s in enumerate(settings.signs)})
-        rhs = structured_poly_expectation(state, {k: polys[k][3] for k in range(n)})
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
     return abs(fwd) ** 2 - rhs.real / math.prod(cos_all)
 
 
@@ -285,10 +233,7 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
 #     c |v|^2 + 1/2 = 1 - c/2 and c (|u|^2 + |v|^2) = 1, so the rhs product
 #     reads only the 4x4 block of {1, N, a^2, a^dag^2}.
 
-_TABLE_OPS = ("identity", "annihilate", "create", "number",
-              "annihilate2", "create2")
-_TABLE_EXPONENTS = {"annihilate": (0, 1), "create": (1, 0), "number": (1, 1),
-                    "annihilate2": (0, 2), "create2": (2, 0)}
+_TABLE_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 
 
 def two_mode_moment_table(state) -> np.ndarray:
@@ -298,32 +243,11 @@ def two_mode_moment_table(state) -> np.ndarray:
     """
     if state.n_modes != 2:
         raise SettingsError("moment table requires exactly two modes")
-    table = np.empty((6, 6), dtype=complex)
-    if isinstance(state, DenseState):
-        if state.headroom < 2:
-            raise HeadroomError("two-mode table needs headroom 2")
-        mats = {op: monomial_matrix(state.cutoff, *_TABLE_EXPONENTS[op])
-                for op in _TABLE_OPS[1:]}
-        for i, oi in enumerate(_TABLE_OPS):
-            for j, oj in enumerate(_TABLE_OPS):
-                pick = {}
-                if oi != "identity":
-                    pick[0] = mats[oi]
-                if oj != "identity":
-                    pick[1] = mats[oj]
-                table[i, j] = product_operator_expectation(state, pick)
-    elif isinstance(state, StructuredState):
-        for i, oi in enumerate(_TABLE_OPS):
-            for j, oj in enumerate(_TABLE_OPS):
-                polys = {}
-                for mode, op in ((0, oi), (1, oj)):
-                    if op != "identity":
-                        q, p = _TABLE_EXPONENTS[op]
-                        polys[mode] = NormalOrderedPoly({(q, p): 1.0})
-                table[i, j] = structured_poly_expectation(state, polys)
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    return table
+    ops = [NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS]
+    # index 0 is the identity, which a pick leaves out
+    picks = [{mode: ops[i] for mode, i in enumerate(pair) if i}
+             for pair in itertools.product(range(6), repeat=2)]
+    return np.array(poly_expectations(state, picks)).reshape(6, 6)
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
@@ -378,36 +302,23 @@ class TwoModeBound:
     bound: float
 
 
-def two_mode_bound(state: DenseState, settings: QuadratureSettings) -> TwoModeBound:
+def two_mode_bound(state, settings: QuadratureSettings) -> TwoModeBound:
     """Variance functional beta2 and its commutator bound for two modes.
 
-    beta2 = <X~>^2 + <Y~>^2 - <prod(X^2 + Y^2)> computed from dense
-    quadrature matrices; the bound is 4 s1 s2 cos(d1) cos(d2).
+    beta2 = <X~>^2 + <Y~>^2 - <prod(X^2 + Y^2)>; the bound is
+    4 s1 s2 cos(d1) cos(d2).
     """
     if settings.n_modes != 2 or state.n_modes != 2:
         raise SettingsError("two_mode_bound requires exactly two modes")
-    if not isinstance(state, DenseState):
-        raise TypeError("two_mode_bound runs on dense states")
-    if state.headroom < 2:
-        raise HeadroomError("two_mode_bound needs headroom >= 2")
-    d = state.cutoff
-    dp = d + 2
-    quads = [quadrature_matrices(dp, t, de, s)
-             for t, de, s in zip(settings.thetas, settings.deltas, settings.signs)]
-    lin = [(x[:d, :d], y[:d, :d]) for x, y in quads]
-    sq = [((x @ x + y @ y)[:d, :d]) for x, y in quads]
-
-    def mean2(m0, m1) -> float:
-        return _real_part(product_operator_expectation(state, {0: m0, 1: m1}),
-                          "two-mode quadrature moment")
-
-    xx = mean2(lin[0][0], lin[1][0])
-    yy = mean2(lin[0][1], lin[1][1])
-    xy = mean2(lin[0][0], lin[1][1])
-    yx = mean2(lin[0][1], lin[1][0])
+    (x0, y0), (x1, y1) = [_quadrature_polys(t, de, s) for t, de, s in zip(
+        settings.thetas, settings.deltas, settings.signs)]
+    means = poly_expectations(state, [{0: x0, 1: x1}, {0: y0, 1: y1},
+                                      {0: x0, 1: y1}, {0: y0, 1: x1},
+                                      {0: x0 * x0 + y0 * y0, 1: x1 * x1 + y1 * y1}])
+    xx, yy, xy, yx, prod_sq = [_real_part(m, "two-mode quadrature moment")
+                               for m in means]
     x_tilde = xx - yy
     y_tilde = xy + yx
-    prod_sq = mean2(sq[0], sq[1])
     beta2 = x_tilde ** 2 + y_tilde ** 2 - prod_sq
     bound = (4.0 * settings.signs[0] * settings.signs[1]
              * math.cos(settings.deltas[0]) * math.cos(settings.deltas[1]))

@@ -1,7 +1,7 @@
 """Command-line front end: state-spec parsing, dispatch, JSON/CSV output.
 
 Exit codes: 0 success, 2 usage or parse error, 3 physics-domain error
-(cutoff, headroom, truncation budget, bad settings), 4 theorem
+(cutoff, truncation budget, bad settings), 4 theorem
 inconsistency (cannot occur on valid inputs; signals a software defect).
 """
 

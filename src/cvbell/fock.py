@@ -3,8 +3,11 @@
 A state lives on ``n_modes`` modes with a uniform single-mode cutoff ``d``
 (basis |0>..|d-1> per mode). Every state carries a *headroom* ``h``: a
 guarantee that no populated basis state has occupation above ``d-1-h`` in any
-mode. Operator words whose per-mode creation count stays within the headroom
-are therefore evaluated exactly, with no silent truncation error.
+mode. Headroom matters only for ladder-word products (``expectation``,
+``apply_mode_op``), which multiply truncated ladder matrices: a word whose
+per-mode creation count stays within the headroom is evaluated exactly.
+Normal-ordered polynomials need none, because ``monomial_matrix`` holds the
+exact matrix elements of a^dag^q a^p below the cutoff.
 
 Multi-index linearization is row-major with mode 0 slowest; the moments
 module shares this convention.
@@ -142,18 +145,6 @@ class PartialTransposeResult:
 
 
 @lru_cache(maxsize=None)
-def ladder_matrix_tuple(d: int, op: LadderOp) -> tuple:
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
-    m = a if op == "annihilate" else a.conj().T
-    return (m,)
-
-
-def ladder_matrix(d: int, op: LadderOp) -> np.ndarray:
-    """Truncated d x d matrix of a or a-dagger."""
-    return ladder_matrix_tuple(d, op)[0]
-
-
-@lru_cache(maxsize=None)
 def _monomial_cached(d: int, q: int, p: int) -> tuple:
     m = np.zeros((d, d))
     for col in range(p, d):
@@ -166,6 +157,10 @@ def _monomial_cached(d: int, q: int, p: int) -> tuple:
 def monomial_matrix(d: int, q: int, p: int) -> np.ndarray:
     """Exact matrix elements <m'| a^dag^q a^p |m> on the d-dim truncation."""
     return _monomial_cached(d, q, p)[0]
+
+
+# (q, p) of a^dag^q a^p for each ladder operator
+_LADDER_EXPONENTS = {"annihilate": (0, 1), "create": (1, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +322,15 @@ def apply_mode_op(state: DenseState, mode: int, op: LadderOp) -> DenseState:
         raise ValueError("apply_mode_op acts on pure states; use expectation for mixed")
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range")
+    if op not in _LADDER_EXPONENTS:
+        raise ValueError(f"unknown ladder op {op!r}")
     if op == "create" and state.headroom < 1:
         raise HeadroomError("cannot create: zero headroom (would corrupt moments)")
-    m = ladder_matrix(state.cutoff, op)
-    arr = np.moveaxis(np.tensordot(m, state.array, axes=([1], [mode])), 0, mode)
+    d = state.cutoff
+    m = monomial_matrix(d, *_LADDER_EXPONENTS[op])
+    arr = (m @ state.array.reshape(d ** mode, d, -1)).reshape(state.array.shape)
     headroom = state.headroom - 1 if op == "create" else min(
-        state.headroom + 1, state.cutoff - 1)
+        state.headroom + 1, d - 1)
     return DenseState(state.mode_spec, "pure", arr, headroom=headroom)
 
 
@@ -348,7 +346,7 @@ def _word_mode_matrices(state: DenseState,
     for mode, op in word:
         if not 0 <= mode < state.n_modes:
             raise ValueError(f"mode {mode} out of range")
-        if op not in ("annihilate", "create"):
+        if op not in _LADDER_EXPONENTS:
             raise ValueError(f"unknown ladder op {op!r}")
         per_mode.setdefault(mode, []).append(op)
     matrices = {}
@@ -361,7 +359,7 @@ def _word_mode_matrices(state: DenseState,
         dp = d + creations
         m = np.eye(dp, dtype=complex)
         for op in reversed(ops):  # rightmost factor acts first
-            m = ladder_matrix(dp, op) @ m
+            m = monomial_matrix(dp, *_LADDER_EXPONENTS[op]) @ m
         matrices[mode] = m[:d, :d]
     return matrices
 
@@ -373,7 +371,7 @@ def product_operator_expectation(state: DenseState,
     if state.kind == "pure":
         out = state.array
         for mode, m in matrices.items():
-            out = np.moveaxis(np.tensordot(m, out, axes=([1], [mode])), 0, mode)
+            out = (m @ out.reshape(d ** mode, d, -1)).reshape(out.shape)
         return complex(np.vdot(state.array, out))
     rho = state.array.reshape((d,) * (2 * n))
     letters = "abcdefghijklmnopqrstuvwxyz"

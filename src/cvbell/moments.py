@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import HeadroomError, NumericalConsistencyError
+from .errors import NumericalConsistencyError
 from .fock import DenseState, product_operator_expectation
 from .structured import (NormalOrderedPoly, StructuredState,
                          structured_poly_expectation)
@@ -90,18 +90,25 @@ def _entry_polys(n_modes: int, bipartition: frozenset[int], row: IndexPair,
     return polys
 
 
-def _poly_product_expectation(state, polys: dict[int, NormalOrderedPoly]) -> complex:
+def poly_expectations(state, picks: Sequence[dict[int, NormalOrderedPoly]],
+                      ) -> list[complex]:
+    """Expectations of products of per-mode normal-ordered polynomials.
+
+    Each pick maps mode -> polynomial; modes absent from a pick carry the
+    identity. This is the one moment primitive both state representations
+    implement. On a dense state each distinct polynomial is lowered once per
+    call; the result is exact at any headroom, because ``to_matrix`` holds the
+    exact matrix elements below the cutoff and modes combine by tensor
+    product.
+    """
     if isinstance(state, StructuredState):
-        return structured_poly_expectation(state, polys)
+        return [structured_poly_expectation(state, pick) for pick in picks]
     if isinstance(state, DenseState):
-        for mode, poly in polys.items():
-            if poly.max_creation() > state.headroom:
-                raise HeadroomError(
-                    f"moment word needs creation degree {poly.max_creation()} "
-                    f"on mode {mode}, headroom is {state.headroom}")
-        matrices = {mode: poly.to_matrix(state.cutoff)
-                    for mode, poly in polys.items()}
-        return product_operator_expectation(state, matrices)
+        polys = {id(poly): poly for pick in picks for poly in pick.values()}
+        lowered = {key: poly.to_matrix(state.cutoff) for key, poly in polys.items()}
+        return [product_operator_expectation(
+                    state, {mode: lowered[id(poly)] for mode, poly in pick.items()})
+                for pick in picks]
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
@@ -116,7 +123,7 @@ def moment_entry(state, bipartition: Iterable[int], row: IndexPair,
     n = state.n_modes
     part = frozenset(bipartition)
     polys = _entry_polys(n, part, row, col, transforms)
-    return _poly_product_expectation(state, polys)
+    return poly_expectations(state, [polys])[0]
 
 
 def build_moment_matrix(state, bipartition: Iterable[int], order: int,

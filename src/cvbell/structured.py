@@ -118,6 +118,8 @@ class PrimitiveKet:
     value: complex
 
     def __post_init__(self):
+        if not cmath.isfinite(self.value):
+            raise ValueError(f"{self.variant} ket value must be finite")
         if self.variant == "number":
             m = self.value
             if m != int(m.real) or m.imag != 0 or int(m.real) < 0:

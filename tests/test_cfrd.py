@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbell import (ModeSpec, QuadratureSettings, SettingsError,
-                    cfrd_evaluate, cfrd_minor_determinant, make_basis_state,
+from cvbell import (DenseState, ModeSpec, QuadratureSettings, SettingsError,
+                    build_moment_matrix, cfrd_beta, cfrd_evaluate,
+                    cfrd_minor_determinant, make_basis_state,
                     make_coherent_product, make_fock_pair, make_ghz_like,
                     make_two_mode_squeezed, mode_transform, quadrature_matrices,
-                    random_state, two_mode_bound, verify_implication)
+                    random_state, two_mode_bound, two_mode_moment_table,
+                    verify_implication)
 
 
 def _settings(thetas, deltas, signs):
@@ -40,6 +42,12 @@ def test_delta_at_endpoint_rejected():
 def test_bad_sign_rejected():
     with pytest.raises(SettingsError):
         _settings([0.0], [0.0], [2])
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_non_finite_theta_rejected(theta):
+    with pytest.raises(SettingsError):
+        _settings([theta, 0.0], [0.0, 0.0], [1, -1])
 
 
 @given(theta=st.floats(0, 2 * math.pi), delta=st.floats(-1.4, 1.4),
@@ -346,3 +354,46 @@ def test_beta_invariant_under_global_sign_flip(seed):
         assert float(beta_from_table(table, thetas, deltas, flipped)) == (
             pytest.approx(float(beta_from_table(table, thetas, deltas, signs)),
                           rel=1e-12, abs=1e-12))
+
+
+def _zero_padded(state, cutoff, headroom):
+    """The same state on a larger lattice, padded with empty levels."""
+    n, d = state.n_modes, state.cutoff
+    spec = ModeSpec(n, cutoff)
+    if state.kind == "pure":
+        arr = np.pad(state.array, [(0, cutoff - d)] * n)
+    else:
+        rho = state.array.reshape((d,) * (2 * n))
+        arr = np.pad(rho, [(0, cutoff - d)] * (2 * n)).reshape(spec.dim, spec.dim)
+    return DenseState(spec, state.kind, arr, headroom=headroom)
+
+
+def _assert_same(got, want):
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_headroom_zero_evaluates_exactly(n, kind):
+    """Normal-ordered moments need no headroom: a state filling its whole
+    lattice evaluates exactly as its copy padded with empty levels."""
+    tight = random_state(ModeSpec(n, 4), kind, headroom=0, seed=40 + n)
+    padded = _zero_padded(tight, 7, 3)
+    rng = np.random.default_rng(n)
+    stg = _settings(rng.uniform(0, 2 * math.pi, n), rng.uniform(-1.2, 1.2, n),
+                    [1] * (n - 1) + [-1])
+    got, want = cfrd_evaluate(tight, stg), cfrd_evaluate(padded, stg)
+    for field in ("lhs", "rhs", "s_squared", "product_number_moment",
+                  "minor_d", "beta", "mean_forward", "mean_reverse"):
+        _assert_same(getattr(got, field), getattr(want, field))
+    assert got.violated == want.violated
+    args = (stg.thetas, stg.deltas, stg.signs)
+    _assert_same(cfrd_beta(tight, *args), cfrd_beta(padded, *args))
+    if n == 2:
+        _assert_same(two_mode_moment_table(tight), two_mode_moment_table(padded))
+        got, want = two_mode_bound(tight, stg), two_mode_bound(padded, stg)
+        _assert_same([got.beta2, got.bound], [want.beta2, want.bound])
+    _assert_same(build_moment_matrix(tight, {0}, order=2).entries,
+                 build_moment_matrix(padded, {0}, order=2).entries)

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import math
 
 import jsonschema
 import pytest
@@ -76,6 +77,21 @@ def test_eval_physics_error_exit_code(tmp_path, capsys):
     code, _ = run(capsys, ["eval", spec, "--theta", "0,0",
                            "--delta", "1.6,0", "--s", "1,-1"])
     assert code == 3
+
+
+def test_eval_non_finite_theta_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"type": "ghz", "n": 2, "cutoff": 4})
+    code, _ = run(capsys, ["eval", spec, "--theta", "inf,0",
+                           "--delta", "0,0", "--s", "1,-1"])
+    assert code == 3
+
+
+def test_eval_non_finite_cat_alpha_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"type": "cat", "n": 2, "alpha": [math.nan, 0],
+                                 "sign": 1})
+    code, _ = run(capsys, ["eval", spec, "--theta", "0,0",
+                           "--delta", "0,0", "--s", "1,-1"])
+    assert code == 2
 
 
 def test_verify_tmsv(tmp_path, capsys, schema):

@@ -14,7 +14,7 @@ from cvbell import (CutoffError, DenseState, HeadroomError, ModeSpec,
                     partial_transpose_min_eig, random_separable_mixture,
                     random_state)
 from cvbell.errors import BipartitionError, TruncationError
-from cvbell.fock import ladder_matrix, monomial_matrix
+from cvbell.fock import monomial_matrix
 
 
 def test_basis_state_single_mode():
@@ -133,6 +133,12 @@ def test_apply_a_adagger_on_one():
     assert out.array[1] == pytest.approx(2.0)  # a a† = N + 1
 
 
+def test_apply_unknown_ladder_op_rejected():
+    one = make_basis_state(ModeSpec(1, 4), [1])
+    with pytest.raises(ValueError):
+        apply_mode_op(one, 0, "destroy")
+
+
 def test_create_with_zero_headroom_rejected():
     top = make_basis_state(ModeSpec(1, 4), [3])
     with pytest.raises(HeadroomError):
@@ -181,8 +187,8 @@ def test_partial_transpose_trivial_bipartition_rejected():
 
 def test_monomial_matrix_matches_ladder_products():
     d = 9
-    a = ladder_matrix(d, "annihilate")
-    ad = ladder_matrix(d, "create")
+    a = monomial_matrix(d, 0, 1)
+    ad = monomial_matrix(d, 1, 0)
     for q, p in [(0, 1), (1, 0), (1, 1), (2, 1), (2, 2), (0, 3)]:
         ref = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
         got = monomial_matrix(d, q, p)

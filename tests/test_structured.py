@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbell import (ModeSpec, NormalOrderedPoly, StructuredState, coherent_ket,
+from cvbell import (ModeSpec, NormalOrderedPoly, QuadratureSettings,
+                    StructuredState, cfrd_beta, cfrd_evaluate, coherent_ket,
                     expectation, from_amplitudes, make_cat_family,
                     make_fock_pair, normal_order, number_ket,
-                    single_mode_matrix_element, structured_moment)
-from cvbell.fock import ladder_matrix
+                    single_mode_matrix_element, structured_moment,
+                    two_mode_bound, two_mode_moment_table)
+from cvbell.fock import monomial_matrix
 from cvbell.structured import overlap
 
 
@@ -39,8 +41,8 @@ def test_normal_order_dense_reexpansion(word):
     degree = sum(p for _, p in word)
     if degree > 8:
         return
-    a = ladder_matrix(d, "annihilate")
-    ad = ladder_matrix(d, "create")
+    a = monomial_matrix(d, 0, 1)
+    ad = monomial_matrix(d, 1, 0)
     ref = np.eye(d, dtype=complex)
     for op, power in word:
         m = ad if op == "create" else a
@@ -180,6 +182,48 @@ def test_cat_family_limits():
 def test_cat_family_degenerate_normalization():
     with pytest.raises(ValueError):
         make_cat_family(1, 0.0, -1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_ket_rejected(value):
+    with pytest.raises(ValueError):
+        coherent_ket(value)
+    with pytest.raises(ValueError):
+        number_ket(value)
+    with pytest.raises(ValueError):
+        make_cat_family(2, value, 1)
+
+
+def _two_term_state():
+    """A two-mode superposition mixing coherent and number factors."""
+    terms = [(0.8, (coherent_ket(0.3 + 0.2j), number_ket(1))),
+             (0.6j, (number_ket(0), coherent_ket(-0.4)))]
+    norm = math.sqrt(StructuredState(2, terms).norm_squared())
+    return StructuredState(2, [(c / norm, f) for c, f in terms])
+
+
+@pytest.mark.parametrize("state, d", [(_two_term_state(), 24),
+                                      (make_fock_pair(4, [0, 1]), 3)])
+def test_functional_agrees_across_representations(state, d):
+    dense = from_amplitudes(ModeSpec(state.n_modes, d),
+                            _dense_from_structured(state, d))
+    n = state.n_modes
+    rng = np.random.default_rng(n)
+    stg = QuadratureSettings(tuple(rng.uniform(0, 2 * math.pi, n)),
+                             tuple(rng.uniform(-1.2, 1.2, n)),
+                             tuple([1] * (n - 1) + [-1]))
+    got, want = cfrd_evaluate(state, stg), cfrd_evaluate(dense, stg)
+    for field in ("lhs", "rhs", "s_squared", "product_number_moment",
+                  "minor_d", "beta", "mean_forward", "mean_reverse"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-9)
+    args = (stg.thetas, stg.deltas, stg.signs)
+    assert cfrd_beta(state, *args) == pytest.approx(cfrd_beta(dense, *args), abs=1e-9)
+    if n == 2:
+        np.testing.assert_allclose(two_mode_moment_table(state),
+                                   two_mode_moment_table(dense), atol=1e-9)
+        got, want = two_mode_bound(state, stg), two_mode_bound(dense, stg)
+        assert got.beta2 == pytest.approx(want.beta2, abs=1e-9)
+        assert got.bound == want.bound
 
 
 def test_fock_pair_norm_and_cross_moment():
