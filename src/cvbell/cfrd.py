@@ -187,6 +187,9 @@ def cfrd_evaluate(state, settings: QuadratureSettings,
     lhs = abs(mean_fwd) ** 2
     prod_n = _real_part(prod_n, "<prod N>")
     rhs = _real_part(rhs, "rhs product") / cos_prod
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NumericalConsistencyError(
+            f"functional not finite: lhs = {lhs}, rhs = {rhs}")
 
     if expand_s_squared:
         s_squared = 0.0

@@ -1,7 +1,7 @@
 """Command-line front end: state-spec parsing, dispatch, JSON/CSV output.
 
 Exit codes: 0 success, 2 usage or parse error, 3 physics-domain error
-(cutoff, truncation budget, bad settings), 4 theorem
+(cutoff, truncation budget, bad settings, overflow), 4 theorem
 inconsistency (cannot occur on valid inputs; signals a software defect).
 """
 
@@ -306,7 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CvBellError as exc:
+    except (CvBellError, OverflowError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 

@@ -1,13 +1,17 @@
 """Dense truncated Fock-lattice states and operators for a few bosonic modes.
 
 A state lives on ``n_modes`` modes with a uniform single-mode cutoff ``d``
-(basis |0>..|d-1> per mode). Every state carries a *headroom* ``h``: a
-guarantee that no populated basis state has occupation above ``d-1-h`` in any
-mode. Headroom matters only for ladder-word products (``expectation``,
-``apply_mode_op``), which multiply truncated ladder matrices: a word whose
-per-mode creation count stays within the headroom is evaluated exactly.
-Normal-ordered polynomials need none, because ``monomial_matrix`` holds the
-exact matrix elements of a^dag^q a^p below the cutoff.
+(basis |0>..|d-1> per mode). Every state carries a *headroom* ``h``: no
+populated basis state has occupation above ``d-1-h`` in any mode, which
+``DenseState`` checks exactly on construction. Headroom fixes the *support
+lattice* ``DenseState.support`` of ``s = max(2, d-h)`` levels per mode that
+every dense evaluation runs on: normal-ordered moments, because
+``monomial_matrix(s, q, p)`` is the top-left block of ``monomial_matrix(d, q,
+p)``, and the partial-transpose oracle, because transposing a mode keeps the
+support, so the rest of the partial transpose is exactly zero. Ladder-word
+products (``expectation``, ``apply_mode_op``) multiply truncated ladder
+matrices on the full lattice; a word whose per-mode creation count stays
+within the headroom is evaluated exactly.
 
 Multi-index linearization is row-major with mode 0 slowest; the moments
 module shares this convention.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -60,6 +64,12 @@ class DenseState:
     ``array`` is a complex tensor of shape ``(d,)*n`` for pure states, or a
     ``(d**n, d**n)`` matrix for mixed states. States are treated as immutable
     after construction.
+
+    Construction rejects an array populated above the headroom cap
+    ``d-1-headroom``, by an exact nonzero test: of the amplitudes of a pure
+    state, and of the diagonal of a density matrix. The diagonal suffices for
+    a positive semidefinite matrix, where a zero diagonal entry zeroes its
+    row and column.
     """
 
     mode_spec: ModeSpec
@@ -79,6 +89,10 @@ class DenseState:
             raise ValueError(f"unknown state kind {self.kind!r}")
         if not 0 <= self.headroom < self.mode_spec.cutoff:
             raise ValueError("headroom out of range")
+        weights = self._weights()
+        box = (slice(0, self.cutoff - self.headroom),) * self.n_modes
+        if np.count_nonzero(weights) > np.count_nonzero(weights[box]):
+            raise ValueError("array populated above the declared headroom cap")
 
     @property
     def n_modes(self) -> int:
@@ -94,21 +108,36 @@ class DenseState:
         vec = self.array.reshape(-1)
         return np.outer(vec, vec.conj())
 
-    def max_occupation(self) -> int:
-        """Largest per-mode occupation actually populated (amplitude scan)."""
-        d, n = self.cutoff, self.n_modes
+    def _weights(self) -> np.ndarray:
+        """Amplitudes (pure) or diagonal (mixed), shaped ``(d,)*n``."""
         if self.kind == "pure":
-            weights = np.abs(self.array)
+            return self.array
+        return np.diagonal(self.array).reshape(self.mode_spec.shape)
+
+    def max_occupation(self) -> int:
+        """Largest per-mode occupation with a nonzero amplitude (pure) or
+        diagonal entry (mixed)."""
+        return max((int(idx.max()) for idx in np.nonzero(self._weights())
+                    if idx.size), default=0)
+
+    @cached_property
+    def support(self) -> "DenseState":
+        """The same state cropped to ``max(2, d-headroom)`` levels per mode.
+
+        The crop is contiguous and made once per state; a state with nothing
+        to crop returns itself.
+        """
+        n, d = self.n_modes, self.cutoff
+        s = max(2, d - self.headroom)
+        if s == d:
+            return self
+        if self.kind == "pure":
+            arr = self.array[(slice(0, s),) * n]
         else:
-            weights = np.abs(np.diagonal(self.array)).reshape((d,) * n)
-        occ = 0
-        for k in range(n):
-            axes = tuple(i for i in range(n) if i != k)
-            marginal = weights.sum(axis=axes) if axes else weights
-            populated = np.nonzero(marginal > 1e-14)[0]
-            if populated.size:
-                occ = max(occ, int(populated.max()))
-        return occ
+            arr = self.array.reshape((d,) * (2 * n))[(slice(0, s),) * (2 * n)]
+            arr = arr.reshape(s ** n, s ** n)
+        return DenseState(ModeSpec(n, s), self.kind, np.ascontiguousarray(arr),
+                          headroom=self.headroom - (d - s))
 
     def check_invariants(self, check_psd: bool = True) -> None:
         """Raise if the stored array is not a valid state of its kind."""
@@ -127,8 +156,6 @@ class DenseState:
                 lo = float(np.linalg.eigvalsh(self.array)[0])
                 if lo < -1e-10:
                     raise ValueError(f"density matrix min eigenvalue {lo} < 0")
-        if self.max_occupation() > self.cutoff - 1 - self.headroom:
-            raise ValueError("declared headroom inconsistent with support")
 
 
 @dataclass
@@ -176,19 +203,16 @@ def _support_cap(spec: ModeSpec, headroom: int) -> int:
 
 def from_amplitudes(spec: ModeSpec, tensor: np.ndarray,
                     headroom: int | None = None) -> DenseState:
-    """Wrap a (normalized) amplitude tensor; infer headroom if not given."""
+    """Wrap a (normalized) amplitude tensor; infer headroom from the exact
+    support if not given."""
     arr = np.asarray(tensor, dtype=complex).reshape(spec.shape)
     nrm = np.linalg.norm(arr)
     if nrm == 0:
         raise ValueError("zero amplitude tensor")
     arr = arr / nrm
-    state = DenseState(spec, "pure", arr, headroom=0)
-    occ = state.max_occupation()
-    inferred = spec.cutoff - 1 - occ
     if headroom is None:
-        headroom = inferred
-    elif headroom > inferred:
-        raise ValueError("requested headroom inconsistent with support")
+        occ = DenseState(spec, "pure", arr).max_occupation()
+        headroom = spec.cutoff - 1 - occ
     return DenseState(spec, "pure", arr, headroom=headroom)
 
 
@@ -283,11 +307,15 @@ def random_state(spec: ModeSpec, kind: Literal["pure", "mixed"],
         arr = arr / np.linalg.norm(arr)
         return DenseState(spec, "pure", arr, headroom=headroom)
     dim = spec.dim
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    flat = mask.reshape(-1)
-    g[~flat, :] = 0.0
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
+    # draw the full G, real part first, so seeded samples stay unchanged;
+    # rho = G G^dag is formed on the support rows only
+    re = rng.standard_normal((dim, dim))
+    im = rng.standard_normal((dim, dim))
+    rows = np.flatnonzero(mask)
+    g = re[rows] + 1j * im[rows]
+    block = g @ g.conj().T
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(rows, rows)] = block / np.trace(block).real
     return DenseState(spec, "mixed", rho, headroom=headroom)
 
 
@@ -329,8 +357,9 @@ def apply_mode_op(state: DenseState, mode: int, op: LadderOp) -> DenseState:
     d = state.cutoff
     m = monomial_matrix(d, *_LADDER_EXPONENTS[op])
     arr = (m @ state.array.reshape(d ** mode, d, -1)).reshape(state.array.shape)
-    headroom = state.headroom - 1 if op == "create" else min(
-        state.headroom + 1, d - 1)
+    # lowering one mode leaves the others' occupations, so the headroom,
+    # which holds for every mode, stays
+    headroom = state.headroom - 1 if op == "create" else state.headroom
     return DenseState(state.mode_spec, "pure", arr, headroom=headroom)
 
 
@@ -404,32 +433,70 @@ def expectation(state: DenseState, word: Sequence[tuple[int, LadderOp]]) -> comp
 # partial transposition
 
 
+def _check_bipartition(modes: frozenset[int], n_modes: int) -> None:
+    if not modes or modes == frozenset(range(n_modes)):
+        raise BipartitionError(
+            "trivial bipartition: corresponds to no transposition at all")
+    if not modes <= frozenset(range(n_modes)):
+        raise BipartitionError(f"bipartition {sorted(modes)} references unknown modes")
+
+
 def partial_transpose(state: DenseState, bipartition: Iterable[int]) -> np.ndarray:
     """Density matrix with the indices of the given modes transposed."""
     modes = frozenset(bipartition)
     n, d = state.n_modes, state.cutoff
-    if not modes or modes == frozenset(range(n)):
-        raise BipartitionError(
-            "trivial bipartition: corresponds to no transposition at all")
-    if not modes <= frozenset(range(n)):
-        raise BipartitionError(f"bipartition {sorted(modes)} references unknown modes")
+    _check_bipartition(modes, n)
     rho = state.to_density_matrix().reshape((d,) * (2 * n))
     for k in modes:
         rho = np.swapaxes(rho, k, n + k)
     return rho.reshape(state.mode_spec.dim, state.mode_spec.dim)
 
 
+def _pure_pt_min_eig(state: DenseState, modes: frozenset[int],
+                     ) -> tuple[float, np.ndarray]:
+    """-s1 s2 from the two largest Schmidt coefficients, and its eigenvector.
+
+    With psi = sum_i s_i |u_i>|v_i> across (modes, rest), the partial
+    transpose maps |u_i*>|v_j> to s_i s_j |u_j*>|v_i>, so its least
+    eigenvalue is -s1 s2 with eigenvector (|u1*>|v2> - |u2*>|v1>)/sqrt(2)
+    (Vidal & Werner, PRA 65, 032314, 2002).
+    """
+    n, s = state.n_modes, state.cutoff
+    order = sorted(modes) + sorted(set(range(n)) - modes)
+    psi = np.transpose(state.array, order).reshape(s ** len(modes), -1)
+    u, sigma, vh = np.linalg.svd(psi, full_matrices=False)
+    witness = (np.outer(u[:, 0].conj(), vh[1]) - np.outer(u[:, 1].conj(), vh[0]))
+    witness = np.transpose(witness.reshape((s,) * n), np.argsort(order))
+    return -float(sigma[0] * sigma[1]), witness.reshape(-1) / math.sqrt(2)
+
+
 def partial_transpose_min_eig(state: DenseState,
                               bipartition: Iterable[int]) -> PartialTransposeResult:
-    """Minimal eigenvalue (and eigenvector) of the partial transpose."""
+    """Minimal eigenvalue (and eigenvector) of the partial transpose.
+
+    Computed on the support lattice: pure states from their Schmidt
+    coefficients, mixed states by ``eigh``. Off the support the partial
+    transpose is zero, which adds the eigenvalue 0 whenever the support is
+    smaller than the lattice. The witness is embedded in the full lattice.
+    """
     modes = frozenset(bipartition)
-    pt = partial_transpose(state, modes)
-    herm_res = np.max(np.abs(pt - pt.conj().T))
-    if herm_res > 1e-10:
-        raise ValueError(f"partial transpose Hermiticity residue {herm_res}")
-    vals, vecs = np.linalg.eigh(pt)
-    witness = vecs[:, 0]
-    witness = witness / np.linalg.norm(witness)
-    return PartialTransposeResult(bipartition=modes,
-                                  min_eigenvalue=float(vals[0]),
-                                  witness_vector=witness)
+    _check_bipartition(modes, state.n_modes)
+    sup = state.support
+    if state.kind == "pure":
+        value, local = _pure_pt_min_eig(sup, modes)
+    else:
+        pt = partial_transpose(sup, modes)
+        herm_res = np.max(np.abs(pt - pt.conj().T))
+        if herm_res > 1e-10:
+            raise ValueError(f"partial transpose Hermiticity residue {herm_res}")
+        vals, vecs = np.linalg.eigh(pt)
+        value, local = float(vals[0]), vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    witness = np.zeros(state.mode_spec.shape, dtype=complex)
+    if sup is not state and value > 0:
+        value = 0.0
+        witness[(-1,) * state.n_modes] = 1.0
+    else:
+        witness[(slice(0, sup.cutoff),) * state.n_modes] = local.reshape(
+            sup.mode_spec.shape)
+    return PartialTransposeResult(bipartition=modes, min_eigenvalue=value,
+                                  witness_vector=witness.reshape(-1))

@@ -96,14 +96,15 @@ def poly_expectations(state, picks: Sequence[dict[int, NormalOrderedPoly]],
 
     Each pick maps mode -> polynomial; modes absent from a pick carry the
     identity. This is the one moment primitive both state representations
-    implement. On a dense state each distinct polynomial is lowered once per
-    call; the result is exact at any headroom, because ``to_matrix`` holds the
-    exact matrix elements below the cutoff and modes combine by tensor
-    product.
+    implement. A dense state is evaluated on its support lattice, where each
+    distinct polynomial is lowered once per call; the result is exact at any
+    headroom, because ``to_matrix`` holds the exact matrix elements below the
+    cutoff and modes combine by tensor product.
     """
     if isinstance(state, StructuredState):
         return [structured_poly_expectation(state, pick) for pick in picks]
     if isinstance(state, DenseState):
+        state = state.support
         polys = {id(poly): poly for pick in picks for poly in pick.values()}
         lowered = {key: poly.to_matrix(state.cutoff) for key, poly in polys.items()}
         return [product_operator_expectation(

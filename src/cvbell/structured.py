@@ -84,9 +84,6 @@ class NormalOrderedPoly:
             m += c * monomial_matrix(d, q, p)
         return m
 
-    def max_creation(self) -> int:
-        return max((q for (q, _p) in self.terms), default=0)
-
     def __repr__(self):
         return f"NormalOrderedPoly({self.terms!r})"
 

@@ -16,7 +16,8 @@ from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
                     cfrd_minor_determinant, build_moment_matrix,
                     default_alpha_grid, expectation, find_negative_minor,
                     from_amplitudes, make_fock_pair, make_two_mode_squeezed,
-                    mode_transform, partial_transpose_min_eig,
+                    mode_transform, partial_transpose,
+                    partial_transpose_min_eig,
                     quadrature_matrices, random_separable_mixture,
                     random_state, scan_cat_family, structured_moment,
                     two_mode_bound, two_mode_moment_table, verify_implication)
@@ -244,16 +245,24 @@ def _tmsv_cutoff(r: float, headroom: int) -> int:
 
 def test_criterion_6_minor_pt_consistency():
     rng = np.random.default_rng(SUITE_SEED + 6)
-    missing_minor = missing_pt = 0
-    for _ in range(100):
+    missing_minor = missing_pt = off_closed_form = off_spectrum = 0
+    for i in range(100):
         r = float(rng.uniform(0.1, 1.0))
         d = _tmsv_cutoff(r, headroom=4)
         tmsv = make_two_mode_squeezed(ModeSpec(2, d), r, headroom=4)
         m = build_moment_matrix(tmsv, frozenset({1}), 2)
         if find_negative_minor(m, max_size=2) is None:
             missing_minor += 1
-        if partial_transpose_min_eig(tmsv, {1}).min_eigenvalue >= 0:
+        pt_min = partial_transpose_min_eig(tmsv, {1}).min_eigenvalue
+        if pt_min >= 0:
             missing_pt += 1
+        # -s1 s2 of the truncated, renormalized Schmidt series lam^m
+        lam, cap = math.tanh(r), d - 5
+        want = -lam * (1 - lam ** 2) / (1 - lam ** (2 * (cap + 1)))
+        off_closed_form += not abs(pt_min - want) <= 1e-12
+        if i % 10 == 0:
+            full = np.linalg.eigvalsh(partial_transpose(tmsv, {1}))[0]
+            off_spectrum += not abs(pt_min - full) <= 1e-12
 
     false_hits = 0
     for _ in range(100):
@@ -266,11 +275,13 @@ def test_criterion_6_minor_pt_consistency():
             m = build_moment_matrix(sep, part, 2)
             if find_negative_minor(m, max_size=3) is not None:
                 false_hits += 1
-    ok = missing_minor == 0 and missing_pt == 0 and false_hits == 0
+    ok = (missing_minor == 0 and missing_pt == 0 and off_closed_form == 0
+          and off_spectrum == 0 and false_hits == 0)
     _emit(ok, "criterion 6",
           f"100 squeezed states: negative minor missing {missing_minor}, "
-          f"PT>=0 {missing_pt}; 100 separable mixtures: {false_hits} "
-          f"spurious negative minors")
+          f"PT>=0 {missing_pt}, PT min off -lam(1-lam^2)/(1-lam^(2(cap+1))) "
+          f"{off_closed_form}, off full eigvalsh {off_spectrum} of 10 (1e-12); "
+          f"100 separable mixtures: {false_hits} spurious negative minors")
 
 
 def test_criterion_7_cat_family_scan():

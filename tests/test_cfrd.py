@@ -397,3 +397,31 @@ def test_headroom_zero_evaluates_exactly(n, kind):
         _assert_same([got.beta2, got.bound], [want.beta2, want.bound])
     _assert_same(build_moment_matrix(tight, {0}, order=2).entries,
                  build_moment_matrix(padded, {0}, order=2).entries)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_support_crop_evaluates_exactly(n, kind):
+    """A state evaluated on its support lattice (cutoff 6, headroom 3 keeps 3
+    levels) equals the same array declared with headroom 0, which is
+    evaluated uncropped."""
+    cropped = random_state(ModeSpec(n, 6), kind, headroom=3, seed=60 + n)
+    full = DenseState(cropped.mode_spec, kind, cropped.array, headroom=0)
+    assert cropped.support.cutoff == 3 and full.support is full
+    rng = np.random.default_rng(60 + n)
+    stg = _settings(rng.uniform(0, 2 * math.pi, n), rng.uniform(-1.2, 1.2, n),
+                    [1] * (n - 1) + [-1])
+    got, want = cfrd_evaluate(cropped, stg), cfrd_evaluate(full, stg)
+    for field in ("lhs", "rhs", "s_squared", "product_number_moment",
+                  "minor_d", "beta", "mean_forward", "mean_reverse"):
+        _assert_same(getattr(got, field), getattr(want, field))
+    transforms = list(mode_transform(stg))
+    _assert_same(cfrd_minor_determinant(cropped, stg.bipartition, transforms),
+                 cfrd_minor_determinant(full, stg.bipartition, transforms))
+    if n == 2:
+        _assert_same(two_mode_moment_table(cropped), two_mode_moment_table(full))
+        got, want = two_mode_bound(cropped, stg), two_mode_bound(full, stg)
+        _assert_same([got.beta2, got.bound], [want.beta2, want.bound])
+    if n < 4:
+        _assert_same(build_moment_matrix(cropped, {0}, order=2).entries,
+                     build_moment_matrix(full, {0}, order=2).entries)

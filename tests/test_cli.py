@@ -94,6 +94,18 @@ def test_eval_non_finite_cat_alpha_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("alpha", [1e20, 1e40])
+def test_eval_overflowing_cat_exit_code(tmp_path, capsys, alpha):
+    # 1e20 overflows a float power; 1e40 turns the moments into NaN
+    spec = write_spec(tmp_path, {"type": "cat", "n": 10, "alpha": [alpha, 0],
+                                 "sign": 1})
+    code, out = run(capsys, ["eval", spec, "--theta", ",".join(["0"] * 10),
+                             "--delta", ",".join(["0"] * 10),
+                             "--s", "1,1,1,1,1,-1,-1,-1,-1,-1"])
+    assert code == 3
+    assert out == ""
+
+
 def test_verify_tmsv(tmp_path, capsys, schema):
     spec = write_spec(tmp_path, {"type": "tmsv", "r": 0.3, "cutoff": 14})
     code, out = run(capsys, ["verify", spec, "--theta", "0.4,1.2",

@@ -1,5 +1,6 @@
 """Dense Fock-lattice core: constructors, expectations, partial transpose."""
 
+import itertools
 import math
 
 import numpy as np
@@ -250,3 +251,89 @@ def test_from_amplitudes_normalizes_and_checks():
     assert st_.array[1] == pytest.approx(0.8)
     with pytest.raises(ValueError):
         from_amplitudes(spec, np.array([0.0, 0.0, 1.0, 0.0]), headroom=2)
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_declared_headroom_rejects_populated_cap(kind):
+    # the support crop would drop this amplitude, so construction refuses it
+    spec = ModeSpec(2, 4)
+    state = random_state(spec, kind, headroom=2, seed=5)
+    arr = state.array.copy()
+    if kind == "pure":
+        arr[2, 0] = 1e-20
+    else:
+        arr[2 * 4, 2 * 4] = 1e-20  # diagonal entry of |2,0>
+    with pytest.raises(ValueError):
+        DenseState(spec, kind, arr, headroom=2)
+    assert DenseState(spec, kind, arr, headroom=1).support.cutoff == 3
+
+
+def test_from_amplitudes_infers_exact_support():
+    tensor = np.zeros((5, 5), dtype=complex)
+    tensor[0, 0] = 1.0
+    tensor[4, 1] = 1e-20
+    assert from_amplitudes(ModeSpec(2, 5), tensor).headroom == 0
+    tensor[4, 1] = 0.0
+    assert from_amplitudes(ModeSpec(2, 5), tensor).headroom == 4
+
+
+@pytest.mark.parametrize("n, cutoff, headroom", [(1, 5, 2), (2, 6, 3), (3, 5, 2)])
+def test_random_mixed_state_matches_full_g_formula(n, cutoff, headroom):
+    """rho is formed on the support rows only, from the same seeded draws."""
+    spec = ModeSpec(n, cutoff)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        dim = spec.dim
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        off = np.indices(spec.shape).max(axis=0).reshape(-1) > cutoff - 1 - headroom
+        g[off, :] = 0.0
+        rho = g @ g.conj().T
+        rho = rho / np.trace(rho).real
+        got = random_state(spec, "mixed", headroom=headroom, seed=seed).array
+        np.testing.assert_allclose(got, rho, rtol=0, atol=1e-14)
+
+
+def _pt_cases():
+    """(label, state) pairs: pure, mixed and separable states at n = 2..4,
+    cropped to a smaller support, plus uncropped ones."""
+    cases = []
+    for n, cutoff, headroom in [(2, 6, 3), (3, 6, 3), (4, 5, 3), (2, 4, 0)]:
+        spec = ModeSpec(n, cutoff)
+        for kind in ("pure", "mixed"):
+            cases.append((f"n={n} h={headroom} {kind}",
+                          random_state(spec, kind, headroom, seed=70 + n)))
+        cases.append((f"n={n} h={headroom} separable",
+                      random_separable_mixture(spec, 3, headroom, seed=80 + n)))
+    spec = ModeSpec(2, 5)
+    support = np.indices(spec.shape).max(axis=0).reshape(-1) <= 1
+    flat = np.diag(support / support.sum()).astype(complex)
+    cases.append(("maximally mixed on support",
+                  DenseState(spec, "mixed", flat, headroom=3)))
+    cases.append(("ghz", make_ghz_like(ModeSpec(3, 4), phase=1j)))
+    cases.append(("tmsv", make_two_mode_squeezed(ModeSpec(2, 12), 0.3)))
+    return cases
+
+
+PT_CASES = _pt_cases()
+
+
+@pytest.mark.parametrize("label, state", PT_CASES,
+                         ids=[label for label, _ in PT_CASES])
+def test_pt_oracle_matches_full_spectrum(label, state):
+    """The support-lattice oracle (Schmidt coefficients for pure states)
+    against eigvalsh of the full partial transpose, on every bipartition."""
+    n = state.n_modes
+    separable = label.endswith("separable")
+    for size in range(1, n):
+        for part in itertools.combinations(range(n), size):
+            res = partial_transpose_min_eig(state, part)
+            pt = partial_transpose(state, part)
+            assert res.min_eigenvalue == pytest.approx(
+                np.linalg.eigvalsh(pt)[0], abs=1e-12)
+            w = res.witness_vector
+            assert w.shape == (state.mode_spec.dim,)
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+            assert np.vdot(w, pt @ w) == pytest.approx(res.min_eigenvalue,
+                                                         abs=1e-12)
+            if separable:
+                assert res.min_eigenvalue >= -1e-12
