@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Sequence
-
 
 from . import fock, search, structured
 from .cfrd import (CfrdReport, QuadratureSettings, cfrd_evaluate,
                    verify_implication)
 from .errors import CvBellError
-from .moments import build_moment_matrix, find_negative_minor
+from .moments import build_moment_matrix, find_negative_minor, index_pairs
 from .search import SettingsSearchSpec
 
 SCHEMA_VERSION = 1
@@ -193,6 +193,12 @@ def cmd_verify(args) -> int:
 def cmd_minors(args) -> int:
     state = load_state_spec(args.state_spec)
     part = _parse_bipartition(args.bipartition, state.n_modes)
+    if args.order < 1:
+        raise SpecParseError(f"--order must be >= 1, got {args.order}")
+    dim = len(index_pairs(state.n_modes, args.order))
+    if not 1 <= args.max_size <= dim:
+        raise SpecParseError(f"--max-size must lie in 1..{dim} (the moment "
+                             f"matrix dimension), got {args.max_size}")
     matrix = build_moment_matrix(state, part, args.order)
     hit = find_negative_minor(matrix, max_size=args.max_size)
     doc = {
@@ -217,18 +223,30 @@ def cmd_minors(args) -> int:
 def cmd_scan(args) -> int:
     if args.family != "cat":
         raise SpecParseError(f"unknown scan family {args.family!r}")
+    if not 1 <= args.n_min <= args.n_max:
+        raise SpecParseError("need 1 <= --n-min <= --n-max, got "
+                             f"{args.n_min} and {args.n_max}")
+    if args.alpha_points < 1:
+        raise SpecParseError(f"--alpha-points must be >= 1, got {args.alpha_points}")
+    for flag, value in (("--alpha-min", args.alpha_min),
+                        ("--alpha-max", args.alpha_max)):
+        if not 0.0 < value < math.inf:
+            raise SpecParseError(f"{flag} must be positive and finite, got {value}")
     grid = search.default_alpha_grid(args.alpha_points, args.alpha_min,
                                      args.alpha_max)
     rows = search.scan_cat_family(range(args.n_min, args.n_max + 1), grid,
                                   args.sign)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "alpha_re", "alpha_im", "lhs", "rhs", "ratio",
-                         "beta"])
-        for row in rows:
-            writer.writerow([row.n, repr(row.alpha.real), repr(row.alpha.imag),
-                             repr(row.lhs), repr(row.rhs), repr(row.ratio),
-                             repr(row.beta)])
+    try:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "alpha_re", "alpha_im", "lhs", "rhs", "ratio",
+                             "beta"])
+            for row in rows:
+                writer.writerow([row.n, repr(row.alpha.real),
+                                 repr(row.alpha.imag), repr(row.lhs),
+                                 repr(row.rhs), repr(row.ratio), repr(row.beta)])
+    except OSError as exc:
+        raise SpecParseError(f"cannot write scan output: {exc}") from exc
     return EXIT_OK
 
 

@@ -160,8 +160,8 @@ def principal_minor(matrix: MomentMatrix, subset: Sequence[int]) -> MinorReport:
 def find_negative_minor(matrix: MomentMatrix, max_size: int = 3) -> MinorReport | None:
     """First principal minor below the negativity threshold, sizes ascending."""
     dim = len(matrix.index_list)
-    if max_size > dim:
-        raise ValueError("max_size exceeds matrix dimension")
+    if not 1 <= max_size <= dim:
+        raise ValueError(f"max_size must lie in 1..{dim} (the matrix dimension)")
     for size in range(1, max_size + 1):
         for idx in itertools.combinations(range(dim), size):
             report = principal_minor(matrix, idx)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cfrd import (CfrdReport, QuadratureSettings, cfrd_beta, cfrd_evaluate)
 
@@ -37,6 +36,9 @@ class SettingsSearchSpec:
             raise ValueError("restarts must be >= 1")
         if self.max_evals < 1:
             raise ValueError("evaluation budget must be positive")
+        if self.n_modes < 2 and not self.include_trivial_signs:
+            raise ValueError("a single mode has no nontrivial sign split "
+                             "to search")
         lo, hi = self.delta_box
         if not (-math.pi / 2 < lo <= hi < math.pi / 2):
             raise ValueError("delta box must sit strictly inside (-pi/2, pi/2)")
@@ -58,6 +60,10 @@ def _sign_assignments(n: int, include_trivial: bool):
 
 def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     """Maximize beta over signs (exhaustive) and angles (Nelder-Mead restarts)."""
+    # the package's only scipy use: importing it here spares every process
+    # that never optimizes about half a second of start-up
+    from scipy.optimize import minimize
+
     n = spec.n_modes
     if n != state.n_modes:
         raise ValueError("search spec mode count does not match state")

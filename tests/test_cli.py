@@ -3,6 +3,10 @@
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -214,3 +218,79 @@ def test_optimize_zero_budget(tmp_path, capsys):
     code, _ = run(capsys, ["optimize", spec, "--restarts", "1", "--seed", "0",
                            "--max-evals", "0"])
     assert code == 2
+
+
+SCAN = ["scan", "--family", "cat", "--n-min", "1", "--n-max", "2",
+        "--alpha-points", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "{one_mode}"],
+    SCAN + ["--alpha-points", "0"],
+    SCAN + ["--alpha-min", "0"],
+    SCAN + ["--alpha-min", "-1"],
+    SCAN + ["--alpha-max", "nan"],
+    SCAN + ["--alpha-max", "inf"],
+    SCAN + ["--n-min", "0"],
+    SCAN + ["--n-min", "3"],
+    SCAN + ["--out", "{tmp}/missing/x.csv"],
+], ids=["optimize-one-mode", "alpha-points-0", "alpha-min-0",
+        "alpha-min-negative", "alpha-max-nan", "alpha-max-inf", "n-min-0",
+        "n-min-above-n-max", "out-dir-missing"])
+def test_optimize_and_scan_argument_errors(tmp_path, capsys, argv):
+    one_mode = write_spec(tmp_path, {"type": "basis", "occupations": [1],
+                                     "cutoff": 3})
+    argv = [a.format(one_mode=one_mode, tmp=tmp_path) for a in argv]
+    if argv[0] == "scan" and "--out" not in argv:
+        argv += ["--out", str(tmp_path / "scan.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--order", "0"], ["--order", "-1"], ["--max-size", "0"],
+    ["--max-size", "-2"], ["--max-size", "16"],
+], ids=["order-0", "order-negative", "max-size-0", "max-size-negative",
+        "max-size-above-dim"])
+def test_minors_rejects_unsearchable_sizes(tmp_path, capsys, flags):
+    spec = write_spec(tmp_path, {"type": "tmsv", "r": 0.3, "cutoff": 14,
+                                 "headroom": 4})
+    code = main(["minors", spec, "--bipartition", "01", *flags])
+    captured = capsys.readouterr()
+    assert code == 2  # the order-2 matrix has dimension 15
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_non_optimize_commands_import_no_scipy(tmp_path):
+    # a fresh process: this one has already imported scipy
+    ghz = write_spec(tmp_path, {"type": "ghz", "n": 2, "cutoff": 4}, "ghz.json")
+    tmsv = write_spec(tmp_path, {"type": "tmsv", "r": 0.3, "cutoff": 14,
+                                 "headroom": 4}, "tmsv.json")
+    settings = ["--theta", "0.4,1.2", "--delta", "0.3,-0.5", "--s", "1,-1"]
+    requests = [
+        ["eval", ghz, *settings],
+        ["verify", tmsv, *settings],
+        ["minors", tmsv, "--bipartition", "01", "--order", "2",
+         "--max-size", "2"],
+        SCAN + ["--out", str(tmp_path / "scan.csv")],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import cvbell, cvbell.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cvbell.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(requests)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert json.loads(proc.stdout) == []

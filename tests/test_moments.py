@@ -89,6 +89,14 @@ def test_tmsv_negative_minor():
     assert hit.determinant == pytest.approx(s ** 4 - c ** 2 * s ** 2, abs=1e-8)
 
 
+@pytest.mark.parametrize("max_size", [-2, 0, 6])
+def test_minor_search_rejects_sizes_outside_matrix(max_size):
+    vac = make_basis_state(ModeSpec(2, 4), [0, 0])
+    m = build_moment_matrix(vac, frozenset({1}), 1)  # dimension 5
+    with pytest.raises(ValueError, match="max_size"):
+        find_negative_minor(m, max_size=max_size)
+
+
 def test_vacuum_no_negative_minor():
     vac = make_basis_state(ModeSpec(2, 6), [0, 0])
     for part in (frozenset(), frozenset({0}), frozenset({1})):

@@ -21,6 +21,9 @@ def test_search_spec_validation():
         SettingsSearchSpec(n_modes=2, max_evals=0)
     with pytest.raises(ValueError):
         SettingsSearchSpec(n_modes=2, delta_box=(-2.0, 2.0))
+    with pytest.raises(ValueError, match="single mode"):
+        SettingsSearchSpec(n_modes=1)
+    SettingsSearchSpec(n_modes=1, include_trivial_signs=True)
 
 
 def test_sign_assignments_exclude_trivial():
