@@ -264,6 +264,7 @@ def test_minors_rejects_unsearchable_sizes(tmp_path, capsys, flags):
     assert code == 2  # the order-2 matrix has dimension 15
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_non_optimize_commands_import_no_scipy(tmp_path):
