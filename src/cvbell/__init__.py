@@ -6,17 +6,17 @@ bipartition-dependent ordering, and cross-checks negativity claims against a
 dense partial-transpose spectral oracle.
 """
 
-from .cfrd import (CfrdReport, ModeTransform, QuadratureSettings, TwoModeBound,
+from .cfrd import (CfrdReport, QuadratureSettings, TwoModeBound,
                    VerificationResult, beta_from_table, cfrd_beta,
                    cfrd_evaluate, mode_transform, quadrature_matrices,
                    two_mode_bound, two_mode_moment_table, verify_implication)
-from .errors import (BipartitionError, CutoffError, CvBellError, HeadroomError,
+from .errors import (BipartitionError, CutoffError, CvBellError,
                      NumericalConsistencyError, SettingsError, TruncationError)
-from .fock import (DenseState, ModeSpec, PartialTransposeResult, apply_mode_op,
-                   expectation, from_amplitudes, make_basis_state,
-                   make_coherent_product, make_ghz_like, make_two_mode_squeezed,
-                   partial_transpose, partial_transpose_min_eig,
-                   random_separable_mixture, random_state)
+from .fock import (DenseState, ModeSpec, PartialTransposeResult,
+                   from_amplitudes, make_basis_state, make_coherent_product,
+                   make_ghz_like, make_two_mode_squeezed, partial_transpose,
+                   partial_transpose_min_eig, random_separable_mixture,
+                   random_state)
 from .moments import (MinorReport, MomentMatrix, build_moment_matrix,
                       cfrd_minor_determinant, find_negative_minor, index_pairs,
                       moment_entry, principal_minor)

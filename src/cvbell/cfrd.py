@@ -74,34 +74,17 @@ class QuadratureSettings:
         return len(self.bipartition) in (0, self.n_modes)
 
 
-@dataclass(frozen=True)
-class ModeTransform:
-    """Per-mode Bogoliubov coefficients (u, v) with b = u a + v a^dag."""
-
-    coeffs: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        for k, (u, v) in enumerate(self.coeffs):
-            if abs(abs(u) ** 2 - abs(v) ** 2 - 1.0) > 1e-12:
-                raise ValueError(
-                    f"mode {k}: |u|^2 - |v|^2 = {abs(u)**2 - abs(v)**2} != 1")
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-
-def mode_transform(settings: QuadratureSettings) -> ModeTransform:
-    """Coefficients of b = u a + v a^dag for each mode (independent of s)."""
+def mode_transform(settings: QuadratureSettings,
+                   ) -> tuple[tuple[complex, complex], ...]:
+    """Coefficients (u, v) of b = u a + v a^dag for each mode (independent of
+    s); |u|^2 - |v|^2 = 1 holds by construction."""
     coeffs = []
     for theta, delta in zip(settings.thetas, settings.deltas):
         root = 2.0 * math.sqrt(math.cos(delta))
         u = (1.0 + cmath.exp(-1j * delta)) / root
         v = cmath.exp(2j * theta) * (1.0 - cmath.exp(1j * delta)) / root
         coeffs.append((u, v))
-    return ModeTransform(tuple(coeffs))
+    return tuple(coeffs)
 
 
 @dataclass
@@ -335,15 +318,13 @@ class VerificationResult:
     consistent: bool
 
 
-def verify_implication(state, settings: QuadratureSettings,
-                       pt_oracle: bool = True) -> VerificationResult:
+def verify_implication(state, settings: QuadratureSettings) -> VerificationResult:
     """Executable form of the theorem: violation implies D^I < 0 and NPT."""
     from .fock import partial_transpose_min_eig
 
     report = cfrd_evaluate(state, settings)
     pt_min = None
-    if (pt_oracle and isinstance(state, DenseState)
-            and not report.trivial_bipartition):
+    if isinstance(state, DenseState) and not report.trivial_bipartition:
         pt_min = partial_transpose_min_eig(state, report.bipartition).min_eigenvalue
     consistent = (not report.violated) or (
         report.minor_d < 0 and (pt_min is None or pt_min < 0))

@@ -181,8 +181,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     state = load_state_spec(args.state_spec)
     settings = parse_settings(state, args.theta, args.delta, args.s)
-    result = verify_implication(state, settings,
-                                pt_oracle=args.pt_oracle == "on")
+    result = verify_implication(state, settings)
     emit({"schema_version": SCHEMA_VERSION, "kind": "verification",
           "report": report_to_json(result.report),
           "pt_min_eig": result.pt_min_eig,
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the violation->NPT implication")
     add_settings_flags(p_verify)
-    p_verify.add_argument("--pt-oracle", choices=["on", "off"], default="on")
     p_verify.set_defaults(func=cmd_verify)
 
     p_minors = sub.add_parser("minors", help="search for a negative principal minor")

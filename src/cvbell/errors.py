@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Physics-domain failures (cutoff, headroom, truncation budgets, bad
-measurement settings) are kept distinct from plain usage errors so the
+Physics-domain failures (cutoff, truncation budgets, bad measurement
+settings) are kept distinct from plain usage errors so the
 CLI can map them to different exit codes.
 """
 
@@ -12,10 +12,6 @@ class CvBellError(Exception):
 
 class CutoffError(CvBellError):
     """An occupation number reached or exceeded the Fock cutoff."""
-
-
-class HeadroomError(CvBellError):
-    """An operation would need more creation headroom than the state guarantees."""
 
 
 class TruncationError(CvBellError):

@@ -8,10 +8,10 @@ lattice* ``DenseState.support`` of ``s = max(2, d-h)`` levels per mode that
 every dense evaluation runs on: normal-ordered moments, because
 ``monomial_matrix(s, q, p)`` is the top-left block of ``monomial_matrix(d, q,
 p)``, and the partial-transpose oracle, because transposing a mode keeps the
-support, so the rest of the partial transpose is exactly zero. Ladder-word
-products (``expectation``, ``apply_mode_op``) multiply truncated ladder
-matrices on the full lattice; a word whose per-mode creation count stays
-within the headroom is evaluated exactly.
+support, so the rest of the partial transpose is exactly zero. A ladder
+word is evaluated by normal-ordering it per mode (``structured.normal_order``)
+and passing the result to ``moments.poly_expectations``, which is exact at
+any headroom.
 
 Multi-index linearization is row-major with mode 0 slowest; the moments
 module shares this convention.
@@ -26,9 +26,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import BipartitionError, CutoffError, HeadroomError, TruncationError
-
-LadderOp = Literal["annihilate", "create"]
+from .errors import BipartitionError, CutoffError, TruncationError
 
 _TRUNCATION_BUDGET = 1e-10
 
@@ -139,24 +137,6 @@ class DenseState:
         return DenseState(ModeSpec(n, s), self.kind, np.ascontiguousarray(arr),
                           headroom=self.headroom - (d - s))
 
-    def check_invariants(self, check_psd: bool = True) -> None:
-        """Raise if the stored array is not a valid state of its kind."""
-        if self.kind == "pure":
-            norm = np.linalg.norm(self.array)
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"pure state norm {norm} != 1")
-        else:
-            dev = np.max(np.abs(self.array - self.array.conj().T))
-            if dev > 1e-12:
-                raise ValueError(f"density matrix Hermiticity residue {dev}")
-            tr = np.trace(self.array)
-            if abs(tr - 1.0) > 1e-12:
-                raise ValueError(f"density matrix trace {tr} != 1")
-            if check_psd:
-                lo = float(np.linalg.eigvalsh(self.array)[0])
-                if lo < -1e-10:
-                    raise ValueError(f"density matrix min eigenvalue {lo} < 0")
-
 
 @dataclass
 class PartialTransposeResult:
@@ -184,10 +164,6 @@ def _monomial_cached(d: int, q: int, p: int) -> tuple:
 def monomial_matrix(d: int, q: int, p: int) -> np.ndarray:
     """Exact matrix elements <m'| a^dag^q a^p |m> on the d-dim truncation."""
     return _monomial_cached(d, q, p)[0]
-
-
-# (q, p) of a^dag^q a^p for each ladder operator
-_LADDER_EXPONENTS = {"annihilate": (0, 1), "create": (1, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,56 +317,7 @@ def random_separable_mixture(spec: ModeSpec, n_terms: int, headroom: int,
 
 
 # ---------------------------------------------------------------------------
-# operator application and expectation values
-
-
-def apply_mode_op(state: DenseState, mode: int, op: LadderOp) -> DenseState:
-    """Apply a or a-dagger on one mode of a pure state (result unnormalized)."""
-    if state.kind != "pure":
-        raise ValueError("apply_mode_op acts on pure states; use expectation for mixed")
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    if op not in _LADDER_EXPONENTS:
-        raise ValueError(f"unknown ladder op {op!r}")
-    if op == "create" and state.headroom < 1:
-        raise HeadroomError("cannot create: zero headroom (would corrupt moments)")
-    d = state.cutoff
-    m = monomial_matrix(d, *_LADDER_EXPONENTS[op])
-    arr = (m @ state.array.reshape(d ** mode, d, -1)).reshape(state.array.shape)
-    # lowering one mode leaves the others' occupations, so the headroom,
-    # which holds for every mode, stays
-    headroom = state.headroom - 1 if op == "create" else state.headroom
-    return DenseState(state.mode_spec, "pure", arr, headroom=headroom)
-
-
-def _word_mode_matrices(state: DenseState,
-                        word: Sequence[tuple[int, LadderOp]]) -> dict[int, np.ndarray]:
-    """Per-mode operator matrices for a ladder word, exact below the cutoff.
-
-    Matrices are built at a padded dimension and cropped so intermediate
-    occupations above the cutoff are never silently dropped.
-    """
-    d = state.cutoff
-    per_mode: dict[int, list[LadderOp]] = {}
-    for mode, op in word:
-        if not 0 <= mode < state.n_modes:
-            raise ValueError(f"mode {mode} out of range")
-        if op not in _LADDER_EXPONENTS:
-            raise ValueError(f"unknown ladder op {op!r}")
-        per_mode.setdefault(mode, []).append(op)
-    matrices = {}
-    for mode, ops in per_mode.items():
-        creations = sum(1 for o in ops if o == "create")
-        if creations > state.headroom:
-            raise HeadroomError(
-                f"word needs {creations} creations on mode {mode}, "
-                f"headroom is {state.headroom}")
-        dp = d + creations
-        m = np.eye(dp, dtype=complex)
-        for op in reversed(ops):  # rightmost factor acts first
-            m = monomial_matrix(dp, *_LADDER_EXPONENTS[op]) @ m
-        matrices[mode] = m[:d, :d]
-    return matrices
+# expectation values
 
 
 def product_operator_expectation(state: DenseState,
@@ -417,16 +344,6 @@ def product_operator_expectation(state: DenseState,
     rho_sub = "".join(rows) + "".join(cols)
     return complex(np.einsum(rho_sub + "," + ",".join(subs) + "->", rho, *operands)
                    if operands else np.einsum(rho_sub + "->", rho))
-
-
-def expectation(state: DenseState, word: Sequence[tuple[int, LadderOp]]) -> complex:
-    """Expectation of an operator word; factors are listed left to right."""
-    if not word:
-        if state.kind == "pure":
-            return complex(np.vdot(state.array, state.array))
-        return complex(np.trace(state.array))
-    matrices = _word_mode_matrices(state, word)
-    return product_operator_expectation(state, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -215,11 +215,6 @@ class StructuredState:
     def norm_squared(self) -> float:
         return float(self.gram_matrix().sum().real)
 
-    def check_invariants(self) -> None:
-        ns = self.norm_squared()
-        if abs(ns - 1.0) > 1e-12:
-            raise ValueError(f"structured state norm^2 {ns} != 1")
-
 
 def structured_poly_expectation(state: StructuredState,
                                 polys: dict[int, NormalOrderedPoly]) -> complex:

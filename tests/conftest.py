@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -42,3 +44,28 @@ def cat_closed_form_best_ratio(n: int, alpha_grid, sign: int) -> float:
     sides = (cat_closed_form(n, alpha, sign, m)
              for alpha in alpha_grid for m in ms)
     return max(lhs / rhs for lhs, rhs in sides)
+
+
+def ladder_word_oracle(state, word) -> complex:
+    """<psi| word |psi> on a pure dense state by padded ladder matrices.
+
+    ``word`` lists (mode, "create"|"annihilate") factors left to right. It is
+    independent of cvbell's normal ordering: each mode's factors multiply as
+    ladder matrices built here at cutoff d + (creations on that mode), so no
+    intermediate occupation is dropped, and the product is cropped back to d.
+    That makes it exact at any headroom.
+    """
+    assert state.kind == "pure", "the oracle evaluates pure states only"
+    psi = state.array
+    d = state.cutoff
+    out = psi
+    for mode in sorted({k for k, _ in word}):
+        ops = [op for k, op in word if k == mode]
+        padded = d + ops.count("create")
+        lower = np.diag(np.sqrt(np.arange(1.0, padded)), 1)
+        m = np.eye(padded)
+        for op in ops:
+            m = m @ (lower.T if op == "create" else lower)
+        out = np.moveaxis(np.tensordot(m[:d, :d], out, axes=([1], [mode])),
+                          0, mode)
+    return complex(np.vdot(psi, out))

@@ -14,7 +14,7 @@ import pytest
 from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
                     best_beta_two_mode_batch, cfrd_evaluate,
                     cfrd_minor_determinant, build_moment_matrix,
-                    default_alpha_grid, expectation, find_negative_minor,
+                    default_alpha_grid, find_negative_minor,
                     from_amplitudes, make_fock_pair, make_two_mode_squeezed,
                     mode_transform, partial_transpose,
                     partial_transpose_min_eig,
@@ -24,7 +24,7 @@ from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
 from cvbell.structured import StructuredState, coherent_ket, number_ket
 
 from conftest import (ACCEPTANCE_LINES, cat_closed_form,
-                      cat_closed_form_best_ratio)
+                      cat_closed_form_best_ratio, ladder_word_oracle)
 
 SUITE_SEED = 20260823
 PAIRS_PER_N = 1000
@@ -199,7 +199,8 @@ def test_criterion_5_cross_representation(suite1):
             tensor[tuple(sl)] = 0.0
         dense = from_amplitudes(ModeSpec(n, d), tensor)
         flat = [(k, op) for k in sorted(word) for op, _ in word[k]]
-        diff = abs(structured_moment(state, word) - expectation(dense, flat))
+        diff = abs(structured_moment(state, word)
+                   - ladder_word_oracle(dense, flat))
         worst_word = max(worst_word, diff)
         checked += 1
 

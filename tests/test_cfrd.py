@@ -32,6 +32,12 @@ def test_mode_transform_symplectic_invariant():
     tr = mode_transform(_settings([0.0], [math.pi / 4], [-1]))
     u, v = tr[0]
     assert abs(u) ** 2 - abs(v) ** 2 == pytest.approx(1.0, abs=1e-12)
+    # near pi/2, |u|^2 ~ 1/(2 cos delta): the identity holds relative to it
+    top = math.nextafter(math.pi / 2, 0.0)
+    deltas = [*np.linspace(math.pi / 2 - 2e-4, top, 50), 1.570796, top]
+    for (u, v) in mode_transform(_settings([0.3] * 52, deltas, [1] * 52)):
+        size = abs(u) ** 2 + abs(v) ** 2
+        assert abs(abs(u) ** 2 - abs(v) ** 2 - 1.0) <= 1e-12 * size
 
 
 def test_delta_at_endpoint_rejected():

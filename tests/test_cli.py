@@ -83,6 +83,17 @@ def test_eval_physics_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_eval_delta_near_endpoint(tmp_path, capsys, schema):
+    # |u|^2 ~ 1/(2 cos delta) is large here; valid settings must evaluate
+    spec = write_spec(tmp_path, {"type": "ghz", "n": 2, "cutoff": 4})
+    code, out = run(capsys, ["eval", spec, "--theta", "0,0",
+                             "--delta", "1.570796,0", "--s", "1,-1"])
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert math.isfinite(doc["report"]["beta"])
+
+
 def test_eval_non_finite_theta_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, {"type": "ghz", "n": 2, "cutoff": 4})
     code, _ = run(capsys, ["eval", spec, "--theta", "inf,0",

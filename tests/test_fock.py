@@ -8,14 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbell import (CutoffError, DenseState, HeadroomError, ModeSpec,
-                    apply_mode_op, expectation, from_amplitudes,
+from cvbell import (CutoffError, DenseState, ModeSpec, from_amplitudes,
                     make_basis_state, make_coherent_product, make_ghz_like,
-                    make_two_mode_squeezed, partial_transpose,
+                    make_two_mode_squeezed, normal_order, partial_transpose,
                     partial_transpose_min_eig, random_separable_mixture,
                     random_state)
 from cvbell.errors import BipartitionError, TruncationError
 from cvbell.fock import monomial_matrix
+from cvbell.moments import poly_expectations
+
+from conftest import ladder_word_oracle
+
+
+def _word(state, word):
+    """<word> for (mode, op) factors listed left to right: each mode's factors
+    normal-ordered, then evaluated by poly_expectations."""
+    per_mode = {}
+    for mode, op in word:
+        per_mode.setdefault(mode, []).append((op, 1))
+    pick = {mode: normal_order(ops) for mode, ops in per_mode.items()}
+    return poly_expectations(state, [pick])[0]
 
 
 def test_basis_state_single_mode():
@@ -44,13 +56,6 @@ def test_ghz_amplitudes():
     assert st3.array[1, 1, 1] == pytest.approx(1j / math.sqrt(2))
 
 
-def test_ghz_cross_moment_by_repeated_annihilation():
-    # <a1 a2> on (|00>+|11>)/sqrt(2) via ladder action and overlap with |00>
-    ghz = make_ghz_like(ModeSpec(2, 4))
-    dropped = apply_mode_op(apply_mode_op(ghz, 0, "annihilate"), 1, "annihilate")
-    assert np.vdot(ghz.array, dropped.array) == pytest.approx(0.5)
-
-
 def test_coherent_zero_is_vacuum():
     st_ = make_coherent_product(ModeSpec(1, 8), [0.0])
     assert st_.array[0] == pytest.approx(1.0)
@@ -59,13 +64,13 @@ def test_coherent_zero_is_vacuum():
 
 def test_coherent_mean_occupation():
     st_ = make_coherent_product(ModeSpec(1, 20), [0.5])
-    n = expectation(st_, [(0, "create"), (0, "annihilate")])
+    n = _word(st_, [(0, "create"), (0, "annihilate")])
     assert n.real == pytest.approx(0.25, abs=1e-8)
 
 
 def test_coherent_cross_moment():
     st_ = make_coherent_product(ModeSpec(2, 20), [1.0, 1.0])
-    val = expectation(st_, [(0, "annihilate"), (1, "annihilate")])
+    val = _word(st_, [(0, "annihilate"), (1, "annihilate")])
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -81,7 +86,7 @@ def test_tmsv_zero_squeezing_is_vacuum():
 
 def test_tmsv_cross_moment_closed_form():
     st_ = make_two_mode_squeezed(ModeSpec(2, 12), 0.3)
-    val = expectation(st_, [(0, "annihilate"), (1, "annihilate")])
+    val = _word(st_, [(0, "annihilate"), (1, "annihilate")])
     assert val.real == pytest.approx(math.cosh(0.3) * math.sinh(0.3), abs=1e-6)
     assert val.imag == pytest.approx(0.0, abs=1e-9)
 
@@ -119,50 +124,31 @@ def test_random_pure_state_support_cap():
     assert st_.max_occupation() <= 1
 
 
-def test_apply_annihilation():
-    two = make_basis_state(ModeSpec(1, 4), [2])
-    out = apply_mode_op(two, 0, "annihilate")
-    assert out.array[1] == pytest.approx(math.sqrt(2))
-
-    vac = make_basis_state(ModeSpec(1, 4), [0])
-    assert np.all(apply_mode_op(vac, 0, "annihilate").array == 0)
-
-
-def test_apply_a_adagger_on_one():
-    one = make_basis_state(ModeSpec(1, 4), [1])
-    out = apply_mode_op(apply_mode_op(one, 0, "create"), 0, "annihilate")
-    assert out.array[1] == pytest.approx(2.0)  # a a† = N + 1
-
-
-def test_apply_unknown_ladder_op_rejected():
-    one = make_basis_state(ModeSpec(1, 4), [1])
-    with pytest.raises(ValueError):
-        apply_mode_op(one, 0, "destroy")
-
-
-def test_create_with_zero_headroom_rejected():
-    top = make_basis_state(ModeSpec(1, 4), [3])
-    with pytest.raises(HeadroomError):
-        apply_mode_op(top, 0, "create")
-
-
 def test_expectation_basics():
     vac = make_basis_state(ModeSpec(1, 4), [0])
     one = make_basis_state(ModeSpec(1, 4), [1])
     number = [(0, "create"), (0, "annihilate")]
-    assert expectation(vac, number) == pytest.approx(0.0)
-    assert expectation(one, number) == pytest.approx(1.0)
+    assert _word(vac, number) == pytest.approx(0.0)
+    assert _word(one, number) == pytest.approx(1.0)
+    # a a^dag = N + 1
+    assert _word(one, [(0, "annihilate"), (0, "create")]) == pytest.approx(2.0)
 
     ghz3 = make_ghz_like(ModeSpec(3, 4))
     word = [(0, "annihilate"), (1, "annihilate"), (2, "annihilate")]
-    assert expectation(ghz3, word) == pytest.approx(0.5)
+    assert _word(ghz3, word) == pytest.approx(0.5)
 
 
-def test_expectation_headroom_guard():
-    top = make_basis_state(ModeSpec(1, 3), [2])
-    with pytest.raises(HeadroomError):
-        expectation(top, [(0, "create"), (0, "create"), (0, "annihilate"),
-                          (0, "annihilate")])
+def test_words_beyond_headroom_are_exact():
+    """Creations past the top populated level need no headroom: the normal
+    order is exact on the lattice, and so is the padded test oracle."""
+    cases = [(ModeSpec(1, 4), 3, [(0, "annihilate"), (0, "create")], 4.0),
+             (ModeSpec(1, 3), 2, [(0, "annihilate"), (0, "annihilate"),
+                                  (0, "create"), (0, "create")], 12.0)]
+    for spec, m, word, want in cases:
+        top = make_basis_state(spec, [m])
+        assert top.headroom == 0
+        assert _word(top, word) == want
+        assert ladder_word_oracle(top, word) == pytest.approx(want, abs=1e-12)
 
 
 def test_partial_transpose_product_state_ppt():
@@ -203,8 +189,8 @@ def test_monomial_matrix_matches_ladder_products():
 def test_ladder_commutator_below_edge(seed):
     # <a a† - a†a> = 1 exactly on states kept away from the cutoff edge
     state = random_state(ModeSpec(1, 6), "pure", headroom=2, seed=seed)
-    lhs = expectation(state, [(0, "annihilate"), (0, "create")])
-    rhs = expectation(state, [(0, "create"), (0, "annihilate")])
+    lhs = _word(state, [(0, "annihilate"), (0, "create")])
+    rhs = _word(state, [(0, "create"), (0, "annihilate")])
     assert (lhs - rhs).real == pytest.approx(1.0, abs=1e-12)
     assert (lhs - rhs).imag == pytest.approx(0.0, abs=1e-12)
 
@@ -216,8 +202,14 @@ def test_expectation_hermiticity(seed, kind):
     word = [(0, "create"), (1, "annihilate"), (0, "annihilate"), (1, "create")]
     reversed_dagger = [(1, "annihilate"), (0, "create"), (1, "create"),
                        (0, "annihilate")]
-    a = expectation(state, word)
-    b = expectation(state, reversed_dagger)
+    a = _word(state, word)
+    b = _word(state, reversed_dagger)
+    assert a == pytest.approx(np.conj(b), abs=1e-12)
+    # a word that is not Hermitian on its own
+    word = [(0, "annihilate"), (0, "create"), (1, "annihilate")]
+    reversed_dagger = [(1, "create"), (0, "annihilate"), (0, "create")]
+    a = _word(state, word)
+    b = _word(state, reversed_dagger)
     assert a == pytest.approx(np.conj(b), abs=1e-12)
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbell import (ModeSpec, StructuredState, build_moment_matrix,
-                    cfrd_minor_determinant, expectation, find_negative_minor,
-                    index_pairs, make_basis_state, make_coherent_product,
-                    make_ghz_like, make_two_mode_squeezed, moment_entry,
+                    cfrd_minor_determinant, find_negative_minor, index_pairs,
+                    make_basis_state, make_coherent_product, make_ghz_like,
+                    make_two_mode_squeezed, moment_entry, normal_order,
                     partial_transpose_min_eig, principal_minor,
                     random_separable_mixture, random_state)
+from cvbell.moments import poly_expectations
 from cvbell.structured import number_ket
 
 
@@ -43,7 +44,8 @@ def test_ghz_cross_moment_entry():
     # row l_1=1 with col q_2=1 assembles the a1 a2 cross moment
     ghz = make_ghz_like(ModeSpec(2, 4))
     val = moment_entry(ghz, frozenset({0}), ((0, 0), (1, 0)), ((0, 0), (0, 1)))
-    want = expectation(ghz, [(0, "annihilate"), (1, "annihilate")])
+    a = normal_order([("annihilate", 1)])
+    want = poly_expectations(ghz, [{0: a, 1: a}])[0]
     assert val == pytest.approx(0.5)
     assert val == pytest.approx(want)
 

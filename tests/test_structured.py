@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from cvbell import (ModeSpec, NormalOrderedPoly, QuadratureSettings,
                     StructuredState, cfrd_beta, cfrd_evaluate, coherent_ket,
-                    expectation, from_amplitudes, make_cat_family,
+                    from_amplitudes, make_cat_family,
                     make_fock_pair, normal_order, number_ket,
                     single_mode_matrix_element, structured_moment,
                     two_mode_bound, two_mode_moment_table)
 from cvbell.fock import monomial_matrix
 from cvbell.structured import overlap
+
+from conftest import ladder_word_oracle
 
 
 def test_normal_order_a_adagger():
@@ -30,6 +32,11 @@ def test_normal_order_a2_adagger2():
 def test_normal_order_already_normal():
     poly = normal_order([("create", 1), ("annihilate", 1)])
     assert poly.terms == {(1, 1): 1.0}
+
+
+def test_normal_order_unknown_op_rejected():
+    with pytest.raises(ValueError):
+        normal_order([("destroy", 1)])
 
 
 @given(word=st.lists(st.tuples(st.sampled_from(["create", "annihilate"]),
@@ -144,8 +151,7 @@ def test_structured_matches_dense_on_random_words(seed):
     state = StructuredState(n, [(coeffs[0] / nrm, factors[0]),
                                 (coeffs[1] / nrm, factors[1])])
 
-    # crop the (numerically negligible) coherent tail so the dense state
-    # carries enough headroom for the word's creation operators
+    # crop the (numerically negligible) coherent tail above d - 5
     tensor = _dense_from_structured(state, d)
     cap = d - 5
     for k in range(n):
@@ -166,7 +172,7 @@ def test_structured_matches_dense_on_random_words(seed):
     flat = [(k, op) for k in sorted(word) for op, _ in word[k]]
 
     got = structured_moment(state, word)
-    want = expectation(dense, flat)
+    want = ladder_word_oracle(dense, flat)
     assert got == pytest.approx(want, abs=1e-8)
 
 
