@@ -30,6 +30,14 @@ def _word(state, word):
     return poly_expectations(state, [pick])[0]
 
 
+def _ladder(psi, mode, op):
+    """Amplitude tensor ``psi`` with one ladder op applied on ``mode`` by the
+    truncated monomial matrix; the result is not renormalized."""
+    q, p = (1, 0) if op == "create" else (0, 1)
+    m = monomial_matrix(psi.shape[mode], q, p)
+    return np.moveaxis(np.tensordot(m, psi, axes=([1], [mode])), 0, mode)
+
+
 def test_basis_state_single_mode():
     st_ = make_basis_state(ModeSpec(1, 4), [2])
     assert st_.array[2] == 1.0
@@ -54,6 +62,13 @@ def test_ghz_amplitudes():
 
     st3 = make_ghz_like(ModeSpec(3, 3), phase=1j)
     assert st3.array[1, 1, 1] == pytest.approx(1j / math.sqrt(2))
+
+
+def test_ghz_cross_moment_by_repeated_annihilation():
+    # <a1 a2> on (|00>+|11>)/sqrt(2) via ladder action and overlap with |00>
+    ghz = make_ghz_like(ModeSpec(2, 4))
+    dropped = _ladder(_ladder(ghz.array, 0, "annihilate"), 1, "annihilate")
+    assert np.vdot(ghz.array, dropped) == pytest.approx(0.5)
 
 
 def test_coherent_zero_is_vacuum():
@@ -124,6 +139,21 @@ def test_random_pure_state_support_cap():
     assert st_.max_occupation() <= 1
 
 
+def test_apply_annihilation():
+    two = make_basis_state(ModeSpec(1, 4), [2])
+    out = _ladder(two.array, 0, "annihilate")
+    assert out[1] == pytest.approx(math.sqrt(2))
+
+    vac = make_basis_state(ModeSpec(1, 4), [0])
+    assert np.all(_ladder(vac.array, 0, "annihilate") == 0)
+
+
+def test_apply_a_adagger_on_one():
+    one = make_basis_state(ModeSpec(1, 4), [1])
+    out = _ladder(_ladder(one.array, 0, "create"), 0, "annihilate")
+    assert out[1] == pytest.approx(2.0)  # a a^dag = N + 1
+
+
 def test_expectation_basics():
     vac = make_basis_state(ModeSpec(1, 4), [0])
     one = make_basis_state(ModeSpec(1, 4), [1])
@@ -138,17 +168,26 @@ def test_expectation_basics():
     assert _word(ghz3, word) == pytest.approx(0.5)
 
 
-def test_words_beyond_headroom_are_exact():
-    """Creations past the top populated level need no headroom: the normal
-    order is exact on the lattice, and so is the padded test oracle."""
-    cases = [(ModeSpec(1, 4), 3, [(0, "annihilate"), (0, "create")], 4.0),
-             (ModeSpec(1, 3), 2, [(0, "annihilate"), (0, "annihilate"),
-                                  (0, "create"), (0, "create")], 12.0)]
-    for spec, m, word, want in cases:
-        top = make_basis_state(spec, [m])
-        assert top.headroom == 0
-        assert _word(top, word) == want
-        assert ladder_word_oracle(top, word) == pytest.approx(want, abs=1e-12)
+def _assert_exact_at_top(spec, m, word, want):
+    """The word on |m> at the top level (headroom 0) matches ``want`` by
+    normal order and by the padded test oracle."""
+    top = make_basis_state(spec, [m])
+    assert top.headroom == 0
+    assert _word(top, word) == want
+    assert ladder_word_oracle(top, word) == pytest.approx(want, abs=1e-12)
+
+
+def test_create_with_zero_headroom_is_exact():
+    # <3| a a^dag |3> = 4 at cutoff 4: the creation needs no spare level
+    _assert_exact_at_top(ModeSpec(1, 4), 3,
+                         [(0, "annihilate"), (0, "create")], 4.0)
+
+
+def test_expectation_beyond_headroom_is_exact():
+    # <2| a^2 a^dag^2 |2> = 12 at cutoff 3
+    _assert_exact_at_top(ModeSpec(1, 3), 2,
+                         [(0, "annihilate"), (0, "annihilate"),
+                          (0, "create"), (0, "create")], 12.0)
 
 
 def test_partial_transpose_product_state_ppt():
