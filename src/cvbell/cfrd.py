@@ -21,6 +21,7 @@ negative, where the transposed set I collects the modes with s_k = -1.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,17 +75,19 @@ class QuadratureSettings:
         return len(self.bipartition) in (0, self.n_modes)
 
 
+def _uv(theta: float, delta: float) -> tuple[complex, complex]:
+    root = 2.0 * math.sqrt(math.cos(delta))
+    u = (1.0 + cmath.exp(-1j * delta)) / root
+    v = cmath.exp(2j * theta) * (1.0 - cmath.exp(1j * delta)) / root
+    return u, v
+
+
 def mode_transform(settings: QuadratureSettings,
                    ) -> tuple[tuple[complex, complex], ...]:
     """Coefficients (u, v) of b = u a + v a^dag for each mode (independent of
     s); |u|^2 - |v|^2 = 1 holds by construction."""
-    coeffs = []
-    for theta, delta in zip(settings.thetas, settings.deltas):
-        root = 2.0 * math.sqrt(math.cos(delta))
-        u = (1.0 + cmath.exp(-1j * delta)) / root
-        v = cmath.exp(2j * theta) * (1.0 - cmath.exp(1j * delta)) / root
-        coeffs.append((u, v))
-    return tuple(coeffs)
+    return tuple(_uv(theta, delta)
+                 for theta, delta in zip(settings.thetas, settings.deltas))
 
 
 @dataclass
@@ -125,16 +128,14 @@ def _real_part(value: complex, what: str, tol: float = 1e-8) -> float:
     return value.real
 
 
-def _mode_polys(settings: QuadratureSettings) -> list[tuple[NormalOrderedPoly, ...]]:
-    """(b, b^dag, N_b, cos_delta*N_b + 1/2) for each mode."""
-    polys = []
-    for (u, v), delta in zip(mode_transform(settings), settings.deltas):
-        b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
-        bdag = b.dagger()
-        n_b = bdag * b
-        rhs_factor = n_b.scale(math.cos(delta)) + NormalOrderedPoly({(0, 0): 0.5})
-        polys.append((b, bdag, n_b, rhs_factor))
-    return polys
+def _mode_polys(theta: float, delta: float) -> tuple[NormalOrderedPoly, ...]:
+    """(b, b^dag, N_b, cos_delta*N_b + 1/2) for one mode's angles."""
+    u, v = _uv(theta, delta)
+    b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
+    bdag = b.dagger()
+    n_b = bdag * b
+    rhs_factor = n_b.scale(math.cos(delta)) + NormalOrderedPoly({(0, 0): 0.5})
+    return b, bdag, n_b, rhs_factor
 
 
 def _b_pick(polys, signs: Sequence[int]) -> dict[int, NormalOrderedPoly]:
@@ -150,22 +151,45 @@ def cfrd_evaluate(state, settings: QuadratureSettings,
     over mode subsets (an independent check of the identity
     rhs = S^2 + <prod N>); otherwise it is taken as the difference.
     """
-    n = settings.n_modes
-    if n != state.n_modes:
-        raise SettingsError("settings length does not match state mode count")
-    polys = _mode_polys(settings)
-    cos_all = [math.cos(d) for d in settings.deltas]
-    cos_prod = math.prod(cos_all)
+    return cfrd_evaluate_many(state, [settings], expand_s_squared)[0]
+
+
+def cfrd_evaluate_many(state, settings_seq: Sequence[QuadratureSettings],
+                       expand_s_squared: bool = True) -> list[CfrdReport]:
+    """``cfrd_evaluate`` for each settings, in one moment call.
+
+    Per-mode polynomials are built once for each distinct (theta, delta), so
+    settings that share angles share their moments' single-mode work.
+    """
+    n = state.n_modes
+    mode_polys = functools.cache(_mode_polys)  # lives for this call only
     subsets = []
     if expand_s_squared:
         subsets = [subset for size in range(n)
                    for subset in itertools.combinations(range(n), size)]
-    picks = [_b_pick(polys, settings.signs),
-             _b_pick(polys, [-s for s in settings.signs]),
-             {k: p[2] for k, p in enumerate(polys)},
-             {k: p[3] for k, p in enumerate(polys)}]
-    picks += [{k: polys[k][2] for k in subset} for subset in subsets]
-    mean_fwd, mean_rev, prod_n, rhs, *terms = poly_expectations(state, picks)
+    picks = []
+    for settings in settings_seq:
+        if settings.n_modes != n:
+            raise SettingsError("settings length does not match state mode count")
+        polys = [mode_polys(theta, delta)
+                 for theta, delta in zip(settings.thetas, settings.deltas)]
+        picks += [_b_pick(polys, settings.signs),
+                  _b_pick(polys, [-s for s in settings.signs]),
+                  {k: p[2] for k, p in enumerate(polys)},
+                  {k: p[3] for k, p in enumerate(polys)}]
+        picks += [{k: polys[k][2] for k in subset} for subset in subsets]
+    values = poly_expectations(state, picks)
+    width = 4 + len(subsets)
+    return [_report(settings, subsets, values[k * width:(k + 1) * width])
+            for k, settings in enumerate(settings_seq)]
+
+
+def _report(settings: QuadratureSettings, subsets, values) -> CfrdReport:
+    """One settings' report from its picks' values, in ``cfrd_evaluate_many`` order."""
+    n = settings.n_modes
+    cos_all = [math.cos(d) for d in settings.deltas]
+    cos_prod = math.prod(cos_all)
+    mean_fwd, mean_rev, prod_n, rhs, *terms = values
 
     lhs = abs(mean_fwd) ** 2
     prod_n = _real_part(prod_n, "<prod N>")
@@ -174,7 +198,7 @@ def cfrd_evaluate(state, settings: QuadratureSettings,
         raise NumericalConsistencyError(
             f"functional not finite: lhs = {lhs}, rhs = {rhs}")
 
-    if expand_s_squared:
+    if subsets:
         s_squared = 0.0
         for subset, term in zip(subsets, terms):
             weight = (0.5 ** (n - len(subset))
@@ -197,7 +221,8 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
     """lhs - rhs only; the lean objective for settings optimization."""
     settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
-    polys = _mode_polys(settings)
+    polys = [_mode_polys(theta, delta)
+             for theta, delta in zip(settings.thetas, settings.deltas)]
     fwd, rhs = poly_expectations(state, [_b_pick(polys, settings.signs),
                                          {k: p[3] for k, p in enumerate(polys)}])
     cos_all = [math.cos(d) for d in settings.deltas]

@@ -26,6 +26,8 @@ from .structured import (NormalOrderedPoly, StructuredState,
                          structured_poly_expectation)
 
 NEGATIVITY_THRESHOLD = -1e-9
+# matrix entries per stacked minor det call; bounds memory at large max_size
+_MINOR_BATCH_ENTRIES = 1 << 20
 
 IndexPair = tuple[tuple[int, ...], tuple[int, ...]]  # (k, l) per-mode exponents
 
@@ -102,7 +104,7 @@ def poly_expectations(state, picks: Sequence[dict[int, NormalOrderedPoly]],
     cutoff and modes combine by tensor product.
     """
     if isinstance(state, StructuredState):
-        return [structured_poly_expectation(state, pick) for pick in picks]
+        return structured_poly_expectation(state, picks)
     if isinstance(state, DenseState):
         state = state.support
         polys = {id(poly): poly for pick in picks for poly in pick.values()}
@@ -158,15 +160,25 @@ def principal_minor(matrix: MomentMatrix, subset: Sequence[int]) -> MinorReport:
 
 
 def find_negative_minor(matrix: MomentMatrix, max_size: int = 3) -> MinorReport | None:
-    """First principal minor below the negativity threshold, sizes ascending."""
+    """First principal minor below the negativity threshold, sizes ascending.
+
+    Each size's minors are stacked into few det calls; the first one, in
+    ``itertools.combinations`` order, that is negative or not real goes
+    through ``principal_minor``, which reports or rejects it."""
     dim = len(matrix.index_list)
     if not 1 <= max_size <= dim:
         raise ValueError(f"max_size must lie in 1..{dim} (the matrix dimension)")
     for size in range(1, max_size + 1):
-        for idx in itertools.combinations(range(dim), size):
-            report = principal_minor(matrix, idx)
-            if report.determinant < NEGATIVITY_THRESHOLD:
-                return report
+        subsets = itertools.combinations(range(dim), size)
+        per_call = max(1, _MINOR_BATCH_ENTRIES // size ** 2)
+        while chunk := list(itertools.islice(subsets, per_call)):
+            idx = np.array(chunk)
+            dets = np.linalg.det(matrix.entries[idx[:, :, None], idx[:, None, :]])
+            flagged = ((np.abs(dets.imag) > 1e-9 * np.maximum(1.0, np.abs(dets)))
+                       | (dets.real < NEGATIVITY_THRESHOLD))
+            if flagged.any():
+                # the stacked and the single det agree bit for bit
+                return principal_minor(matrix, chunk[int(np.argmax(flagged))])
     return None
 
 

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrd import (CfrdReport, QuadratureSettings, cfrd_beta, cfrd_evaluate)
+from .cfrd import (CfrdReport, QuadratureSettings, cfrd_beta, cfrd_evaluate,
+                   cfrd_evaluate_many)
 
 DELTA_MARGIN = 0.05
 
@@ -246,11 +247,12 @@ def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
     for n in n_range:
         best: ScanRow | None = None
         choices = _scan_sign_choices(n, exhaustive_signs)
+        settings = [QuadratureSettings((0.0,) * n, (0.0,) * n, signs)
+                    for signs in choices]
         for alpha in alpha_grid:
-            state = make_cat_family(n, alpha, sign)
-            for signs in choices:
-                settings = QuadratureSettings((0.0,) * n, (0.0,) * n, signs)
-                rep = cfrd_evaluate(state, settings, expand_s_squared=False)
+            reports = cfrd_evaluate_many(make_cat_family(n, alpha, sign), settings,
+                                         expand_s_squared=False)
+            for signs, rep in zip(choices, reports):
                 ratio = rep.lhs / rep.rhs
                 if best is None or ratio > best.ratio + SCAN_TIE_TOLERANCE:
                     best = ScanRow(n=n, alpha=complex(alpha), lhs=rep.lhs,

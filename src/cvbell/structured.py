@@ -122,7 +122,9 @@ class PrimitiveKet:
             if m != int(m.real) or m.imag != 0 or int(m.real) < 0:
                 raise ValueError("number occupation must be a nonnegative integer")
             object.__setattr__(self, "value", complex(int(m.real)))
-        elif self.variant != "coherent":
+        elif self.variant == "coherent":
+            object.__setattr__(self, "value", complex(self.value))
+        else:
             raise ValueError(f"unknown ket variant {self.variant!r}")
 
 
@@ -217,20 +219,38 @@ class StructuredState:
 
 
 def structured_poly_expectation(state: StructuredState,
-                                polys: dict[int, NormalOrderedPoly]) -> complex:
-    """Expectation of a product of per-mode polynomials (modes absent = identity)."""
+                                picks: Sequence[dict[int, NormalOrderedPoly]],
+                                ) -> list[complex]:
+    """Expectations of products of per-mode polynomials, one per pick.
+
+    Modes absent from a pick carry the identity. Every distinct
+    (mode, polynomial) is evaluated once per call, as one list of single-mode
+    elements over the T^2 pairs of the state's T terms; each pick multiplies
+    its lists pair by pair, mode 0 first, stopping a pair at an exact zero.
+    """
+    pairs = [(fi, fj, ci.conjugate() * cj)
+             for ci, fi in state.terms for cj, fj in state.terms]
     ident = NormalOrderedPoly.identity()
-    total = 0.0 + 0.0j
-    for ci, fi in state.terms:
-        for cj, fj in state.terms:
-            val = ci.conjugate() * cj
-            for mode in range(state.n_modes):
-                poly = polys.get(mode, ident)
-                val *= single_mode_matrix_element(fi[mode], poly, fj[mode])
+    elements: dict[tuple[int, int], list[complex]] = {}
+    out = []
+    for pick in picks:
+        factors = []
+        for mode in range(state.n_modes):
+            poly = pick.get(mode, ident)
+            key = (mode, id(poly))
+            if key not in elements:
+                elements[key] = [single_mode_matrix_element(fi[mode], poly, fj[mode])
+                                 for fi, fj, _ in pairs]
+            factors.append(elements[key])
+        total = 0.0 + 0.0j
+        for k, (_, _, val) in enumerate(pairs):
+            for factor in factors:
+                val *= factor[k]
                 if val == 0:
                     break
             total += val
-    return complex(total)
+        out.append(complex(total))
+    return out
 
 
 def structured_moment(state: StructuredState,
@@ -244,7 +264,7 @@ def structured_moment(state: StructuredState,
         if not 0 <= mode < state.n_modes:
             raise ValueError(f"mode {mode} out of range")
     polys = {mode: normal_order(w) for mode, w in word.items()}
-    return structured_poly_expectation(state, polys)
+    return structured_poly_expectation(state, [polys])[0]
 
 
 def make_cat_family(n: int, alpha: complex, sign: int) -> StructuredState:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from cvbell import (DenseState, ModeSpec, QuadratureSettings, SettingsError,
                     build_moment_matrix, cfrd_beta, cfrd_evaluate,
+                    cfrd_evaluate_many, coherent_ket, number_ket,
+                    StructuredState,
                     cfrd_minor_determinant, make_basis_state,
                     make_coherent_product, make_fock_pair, make_ghz_like,
                     make_two_mode_squeezed, mode_transform, quadrature_matrices,
@@ -431,3 +433,30 @@ def test_support_crop_evaluates_exactly(n, kind):
     if n < 4:
         _assert_same(build_moment_matrix(cropped, {0}, order=2).entries,
                      build_moment_matrix(full, {0}, order=2).entries)
+
+
+def _mixed_structured_state():
+    """Three modes, two terms, number and coherent factors (unnormalized)."""
+    return StructuredState(3, [
+        (0.7, (coherent_ket(0.4 - 0.3j), number_ket(1), coherent_ket(0.2))),
+        (0.5j, (number_ket(0), coherent_ket(-0.5), number_ket(2)))])
+
+
+@pytest.mark.parametrize("expand", [True, False])
+@pytest.mark.parametrize("state", [
+    random_state(ModeSpec(3, 5), "pure", headroom=2, seed=11),
+    _mixed_structured_state()], ids=["dense", "structured"])
+def test_evaluate_many_equals_single_calls(state, expand):
+    rng = np.random.default_rng(5)
+    signs = [(1, 1, -1), (1, -1, -1), (-1, 1, 1)]
+    shared = [_settings([0.4] * 3, [0.3] * 3, s) for s in signs]
+    distinct = [_settings(rng.uniform(0, 2 * math.pi, 3), rng.uniform(-1.2, 1.2, 3), s)
+                for s in signs]
+    seq = shared + distinct + [shared[0]]
+    many = cfrd_evaluate_many(state, seq, expand_s_squared=expand)
+    assert len(many) == len(seq)
+    for got, want in zip(many, [cfrd_evaluate(state, s, expand) for s in seq]):
+        assert got == want
+    assert cfrd_evaluate_many(state, []) == []
+    with pytest.raises(SettingsError):
+        cfrd_evaluate_many(state, shared + [_settings([0] * 2, [0] * 2, [1, -1])])

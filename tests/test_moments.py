@@ -1,5 +1,6 @@
 """Matrices of moments: ordering, entries, minors, and the PT cross-check."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from cvbell import (ModeSpec, StructuredState, build_moment_matrix,
                     make_two_mode_squeezed, moment_entry, normal_order,
                     partial_transpose_min_eig, principal_minor,
                     random_separable_mixture, random_state)
-from cvbell.moments import poly_expectations
+from cvbell import moments
+from cvbell.errors import NumericalConsistencyError
+from cvbell.moments import NEGATIVITY_THRESHOLD, MomentMatrix, poly_expectations
 from cvbell.structured import number_ket
 
 
@@ -177,3 +180,50 @@ def test_structured_and_dense_entries_agree():
                 a = moment_entry(ghz_s, part, row, col)
                 b = moment_entry(ghz_d, part, row, col)
                 assert a == pytest.approx(b, abs=1e-8)
+
+
+def _first_negative_minor_one_by_one(matrix, max_size):
+    """Reference: one principal_minor call per subset, in search order."""
+    dim = len(matrix.index_list)
+    for size in range(1, max_size + 1):
+        for idx in itertools.combinations(range(dim), size):
+            report = principal_minor(matrix, idx)
+            if report.determinant < NEGATIVITY_THRESHOLD:
+                return report
+    return None
+
+
+@pytest.mark.parametrize("chunk_entries", [1 << 20, 7])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_minor_search_matches_one_by_one(monkeypatch, seed, chunk_entries):
+    # a tiny batch budget splits every size into many determinant calls
+    monkeypatch.setattr(moments, "_MINOR_BATCH_ENTRIES", chunk_entries)
+    state = random_state(ModeSpec(2, 5), "pure" if seed % 2 else "mixed",
+                         headroom=2, seed=seed)
+    for part, order in (({0}, 1), ({1}, 2), ((), 1)):
+        m = build_moment_matrix(state, part, order=order)
+        got = find_negative_minor(m, max_size=3)
+        want = _first_negative_minor_one_by_one(m, 3)
+        if want is None:
+            assert got is None
+            continue
+        assert got.subset == want.subset
+        assert all(type(k) is int for k in got.subset)
+        assert got.determinant == want.determinant
+        np.testing.assert_array_equal(got.matrix_slice, want.matrix_slice)
+
+
+def _diagonal_matrix(diag):
+    return MomentMatrix(bipartition=frozenset(), order=1,
+                        index_list=[((0,), (0,))] * len(diag),
+                        entries=np.diag(np.array(diag, dtype=complex)))
+
+
+def test_minor_search_residue_only_on_examined_minors():
+    # a non-real minor after the first negative one is never examined
+    hit = find_negative_minor(_diagonal_matrix([1.0, -1.0, 1j]), max_size=1)
+    assert hit.subset == (1,) and hit.determinant == -1.0
+    with pytest.raises(NumericalConsistencyError):
+        find_negative_minor(_diagonal_matrix([1.0, 1j, -1.0]), max_size=1)
+    with pytest.raises(NumericalConsistencyError):
+        find_negative_minor(_diagonal_matrix([1.0, 2.0, 1j]), max_size=2)

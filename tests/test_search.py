@@ -9,6 +9,7 @@ from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
                     cfrd_evaluate, default_alpha_grid, make_basis_state,
                     make_two_mode_squeezed, optimize_settings,
                     random_state, scan_cat_family)
+from cvbell import structured
 from cvbell.search import _sign_assignments
 
 from conftest import cat_closed_form, cat_closed_form_best_ratio
@@ -177,3 +178,20 @@ def test_scan_ties_keep_first_candidate():
             else:
                 assert row.alpha == 3.0
                 assert row.ratio == pytest.approx((18 / 19) ** row.n, rel=1e-12)
+
+
+def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
+    # every sign pattern at one alpha shares the per-mode lists of the four
+    # polynomials (b, b^dag, N, cos*N + 1/2), each over the T^2 term pairs
+    calls = 0
+    real = structured.single_mode_matrix_element
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(structured, "single_mode_matrix_element", counted)
+    n, n_terms = 6, 2
+    scan_cat_family([n], [0.7], 1)
+    assert 0 < calls <= 5 * n * n_terms ** 2

@@ -14,7 +14,7 @@ from cvbell import (ModeSpec, NormalOrderedPoly, QuadratureSettings,
                     single_mode_matrix_element, structured_moment,
                     two_mode_bound, two_mode_moment_table)
 from cvbell.fock import monomial_matrix
-from cvbell.structured import overlap
+from cvbell.structured import overlap, structured_poly_expectation
 
 from conftest import ladder_word_oracle
 
@@ -255,3 +255,54 @@ def test_gram_matrix_psd(seed):
     state = StructuredState(n, [(c / nrm, f) for c, f in terms])
     eigs = np.linalg.eigvalsh(state.gram_matrix())
     assert eigs.min() >= -1e-10
+
+
+def test_coherent_ket_value_is_python_complex():
+    ket = coherent_ket(np.float64(0.5))
+    assert type(ket.value) is complex
+    assert ket.value == 0.5
+
+
+def _pick_by_pick(state, pick):
+    """Reference: every element recomputed per pick, term pairs in order."""
+    ident = NormalOrderedPoly.identity()
+    total = 0.0 + 0.0j
+    for ci, fi in state.terms:
+        for cj, fj in state.terms:
+            val = ci.conjugate() * cj
+            for mode in range(state.n_modes):
+                val *= single_mode_matrix_element(fi[mode], pick.get(mode, ident),
+                                                  fj[mode])
+                if val == 0:
+                    break
+            total += val
+    return complex(total)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_poly_expectation_equals_single_picks(seed):
+    rng = np.random.default_rng(seed)
+    n = 4
+    terms = []
+    for _ in range(3):
+        row = tuple(number_ket(int(rng.integers(0, 3))) if rng.random() < 0.5
+                    else coherent_ket(complex(*(0.6 * rng.standard_normal(2))))
+                    for _ in range(n))
+        terms.append((complex(*rng.standard_normal(2)), row))
+    state = StructuredState(n, terms)
+    a = normal_order([("annihilate", 1)])
+    ad = normal_order([("create", 1)])
+    num = normal_order([("create", 1), ("annihilate", 1)])
+    mixed = NormalOrderedPoly({(0, 0): 0.5, (1, 1): 0.3, (2, 0): 0.2j})
+    picks = [{},
+             {0: a, 1: ad, 2: num, 3: mixed},
+             {0: a, 1: ad, 2: num},        # identity on mode 3 only
+             {0: a, 1: ad, 3: mixed},      # identity on mode 2 only
+             {k: num for k in range(n)},   # one object on every mode
+             {1: mixed, 3: mixed},
+             {0: normal_order([("annihilate", 1)])},  # equal to a, new object
+             {}]
+    batched = structured_poly_expectation(state, picks)
+    assert batched == [structured_poly_expectation(state, [p])[0] for p in picks]
+    assert batched == [_pick_by_pick(state, p) for p in picks]
+    assert structured_poly_expectation(state, []) == []
