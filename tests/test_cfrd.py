@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbell import (DenseState, ModeSpec, QuadratureSettings, SettingsError,
-                    build_moment_matrix, cfrd_beta, cfrd_evaluate,
-                    cfrd_evaluate_many, coherent_ket, number_ket,
-                    StructuredState,
-                    cfrd_minor_determinant, make_basis_state,
+                    StructuredState, build_moment_matrix, cfrd_beta,
+                    cfrd_evaluate, cfrd_evaluate_many, cfrd_minor_determinant,
+                    coherent_ket, make_basis_state,
                     make_coherent_product, make_fock_pair, make_ghz_like,
-                    make_two_mode_squeezed, mode_transform, quadrature_matrices,
+                    make_two_mode_squeezed, mode_transform, number_ket,
+                    quadrature_matrices,
                     random_state, two_mode_bound, two_mode_moment_table,
                     verify_implication)
 

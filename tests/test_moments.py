@@ -198,9 +198,11 @@ def _first_negative_minor_one_by_one(matrix, max_size):
 def test_batched_minor_search_matches_one_by_one(monkeypatch, seed, chunk_entries):
     # a tiny batch budget splits every size into many determinant calls
     monkeypatch.setattr(moments, "_MINOR_BATCH_ENTRIES", chunk_entries)
-    state = random_state(ModeSpec(2, 5), "pure" if seed % 2 else "mixed",
-                         headroom=2, seed=seed)
-    for part, order in (({0}, 1), ({1}, 2), ((), 1)):
+    states = [random_state(ModeSpec(2, 5), "pure" if seed % 2 else "mixed",
+                           headroom=2, seed=seed),
+              make_two_mode_squeezed(ModeSpec(2, 14), 0.1 + 0.05 * seed, headroom=4)]
+    for state, (part, order) in itertools.product(
+            states, (({0}, 1), ({1}, 2), ((), 1))):
         m = build_moment_matrix(state, part, order=order)
         got = find_negative_minor(m, max_size=3)
         want = _first_negative_minor_one_by_one(m, 3)
