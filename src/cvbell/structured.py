@@ -223,8 +223,8 @@ def structured_poly_expectation(state: StructuredState,
                                 ) -> list[complex]:
     """Expectations of products of per-mode polynomials, one per pick.
 
-    Modes absent from a pick carry the identity. Every distinct
-    (mode, polynomial) is evaluated once per call, as one list of single-mode
+    Modes absent from a pick carry the identity. Every distinct (mode,
+    polynomial object) is evaluated once per call, as one list of single-mode
     elements over the T^2 pairs of the state's T terms; each pick multiplies
     its lists pair by pair, mode 0 first, stopping a pair at an exact zero.
     """
