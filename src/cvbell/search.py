@@ -113,19 +113,25 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                         xatol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Minimize many independent box-constrained problems in lockstep.
 
-    ``fn`` maps an (..., dim) parameter array to (...) objective values;
-    ``x0`` has shape (batch, dim). Standard simplex coefficients
-    (reflect 1, expand 2, contract 1/2, shrink 1/2); candidates are clipped
-    to the box, matching the scalar optimizer's bound handling. Returns the
-    per-problem best point and value.
+    ``fn(rows, x)`` evaluates the problems ``rows`` (``slice(None)`` for
+    all of them, else an index array) at points ``x`` of shape
+    (len(rows), k, dim) and returns (len(rows), k) values; ``x0`` has shape
+    (batch, dim). Standard simplex coefficients (reflect 1, expand 2,
+    contract 1/2, shrink 1/2); candidates are clipped to the box, matching
+    the scalar optimizer's bound handling. Each iteration evaluates the
+    reflection of every problem, one more point (expansion or contraction)
+    only for problems whose reflection is not accepted, and the shrunk
+    vertices only of problems that shrink. Returns the per-problem best
+    point and value.
     """
     x0 = np.asarray(x0, dtype=float)
     batch, dim = x0.shape
+    every = slice(None)
     step = 0.05 * (hi - lo)
     x = np.repeat(x0[:, None, :], dim + 1, axis=1)
     for k in range(dim):
         x[:, k + 1, k] = np.clip(x[:, k + 1, k] + step[k], lo[k], hi[k])
-    f = fn(x)
+    f = fn(every, x)
 
     for _ in range(max_iter):
         order = np.argsort(f, axis=1)
@@ -139,34 +145,36 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         centroid = x[:, :-1, :].mean(axis=1)
         worst = x[:, -1, :]
         xr = np.clip(centroid + (centroid - worst), lo, hi)
-        fr = fn(xr)
-
-        xe = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
-        fe = fn(xe)
-        outside = fr < f[:, -1]
-        xc = np.clip(np.where(outside[:, None], centroid + 0.5 * (xr - centroid),
-                              centroid - 0.5 * (centroid - worst)), lo, hi)
-        fc = fn(xc)
-
+        fr = fn(every, xr[:, None])[:, 0]
         expand = fr < f[:, 0]
         reflect = ~expand & (fr < f[:, -2])
-        take_e = expand & (fe < fr)
-        contract_ok = ~expand & ~reflect & np.where(outside, fc <= fr,
-                                                    fc < f[:, -1])
-        shrink = ~expand & ~reflect & ~contract_ok
+        x[reflect, -1] = xr[reflect]
+        f[reflect, -1] = fr[reflect]
 
-        new_worst = np.where(take_e[:, None], xe,
-                             np.where(contract_ok[:, None], xc, xr))
-        new_fworst = np.where(take_e, fe, np.where(contract_ok, fc, fr))
-        keep = expand | reflect | contract_ok
-        x[keep, -1] = new_worst[keep]
-        f[keep, -1] = new_fworst[keep]
+        rows = np.flatnonzero(~reflect)
+        if rows.size == 0:
+            continue
+        c, w, r, fr = centroid[rows], worst[rows], xr[rows], fr[rows]
+        expand = expand[rows]
+        fw = f[rows, -1]
+        outside = fr < fw
+        # expansion where the reflection beat the best vertex, else the
+        # outside or inside contraction
+        y = np.clip(np.where(expand[:, None], c + 2.0 * (c - w),
+                             np.where(outside[:, None], c + 0.5 * (r - c),
+                                      c - 0.5 * (c - w))), lo, hi)
+        fy = fn(rows, y[:, None])[:, 0]
+        take_y = np.where(expand, fy < fr, np.where(outside, fy <= fr, fy < fw))
+        keep = expand | take_y
+        x[rows[keep], -1] = np.where(take_y[:, None], y, r)[keep]
+        f[rows[keep], -1] = np.where(take_y, fy, fr)[keep]
 
-        if shrink.any():
-            shrunk = x[:, :1, :] + 0.5 * (x[:, 1:, :] - x[:, :1, :])
-            fs = fn(shrunk)
-            x[shrink, 1:] = shrunk[shrink]
-            f[shrink, 1:] = fs[shrink]
+        shrink = rows[~keep]
+        if shrink.size:
+            base = x[shrink, :1, :]
+            shrunk = base + 0.5 * (x[shrink, 1:, :] - base)
+            x[shrink, 1:] = shrunk
+            f[shrink, 1:] = fn(shrink, shrunk)
 
     best = np.argmin(f, axis=1)
     idx = np.arange(batch)
@@ -192,9 +200,9 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     best = np.full(batch, -np.inf)
     for signs in _sign_assignments(2, spec.include_trivial_signs):
 
-        def objective(x):
-            return -beta_from_table(tables if x.ndim == 2 else tables[:, None],
-                                    x[..., :2], x[..., 2:], signs)
+        def objective(rows, x):
+            return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:],
+                                    signs)
 
         for _ in range(spec.restarts):
             x0 = lo + rng.random((batch, 4)) * (hi - lo)

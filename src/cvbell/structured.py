@@ -156,13 +156,16 @@ def single_mode_matrix_element(bra: PrimitiveKet, poly: NormalOrderedPoly,
                                ket: PrimitiveKet) -> complex:
     """Exact <bra| poly |ket> for number/coherent factors."""
     total = 0.0 + 0.0j
+    if bra.variant == "coherent" and ket.variant == "coherent":
+        bc, g = bra.value.conjugate(), ket.value
+        # the overlap <bra|ket> is common to every monomial
+        ovl = cmath.exp(-abs(bc) ** 2 / 2 - abs(g) ** 2 / 2 + bc * g)
+        for (q, p), c in poly.terms.items():
+            total += c * (bc ** q * g ** p * ovl)
+        return complex(total)
     for (q, p), c in poly.terms.items():
         if bra.variant == "number" and ket.variant == "number":
             val = _mono_number_number(int(bra.value.real), q, p, int(ket.value.real))
-        elif bra.variant == "coherent" and ket.variant == "coherent":
-            b, g = bra.value, ket.value
-            val = (b.conjugate() ** q * g ** p
-                   * cmath.exp(-abs(b) ** 2 / 2 - abs(g) ** 2 / 2 + b.conjugate() * g))
         elif bra.variant == "number":
             val = _mono_number_coherent(int(bra.value.real), q, p, ket.value)
         else:

@@ -69,3 +69,68 @@ def ladder_word_oracle(state, word) -> complex:
         out = np.moveaxis(np.tensordot(m[:d, :d], out, axes=([1], [mode])),
                           0, mode)
     return complex(np.vdot(psi, out))
+
+
+def eager_nelder_mead(fn, x0, lo, hi, max_iter=200, fatol=1e-10, xatol=1e-6):
+    """Batched box-constrained Nelder-Mead that evaluates every problem at
+    every candidate: reflection, expansion, contraction and, whenever any
+    problem shrinks, every problem's shrunk vertices.
+
+    It keeps the simplex that evaluated all candidates eagerly, as an oracle
+    for ``cvbell.batched_nelder_mead``, which evaluates only the points each
+    problem uses; both must follow the same trajectory bit for bit. ``fn``
+    takes the same ``(rows, x)`` arguments, always with every row.
+    """
+    every = slice(None)
+    x0 = np.asarray(x0, dtype=float)
+    batch, dim = x0.shape
+    step = 0.05 * (hi - lo)
+    x = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for k in range(dim):
+        x[:, k + 1, k] = np.clip(x[:, k + 1, k] + step[k], lo[k], hi[k])
+    f = fn(every, x)
+
+    for _ in range(max_iter):
+        order = np.argsort(f, axis=1)
+        f = np.take_along_axis(f, order, axis=1)
+        x = np.take_along_axis(x, order[:, :, None], axis=1)
+        spread = f[:, -1] - f[:, 0]
+        if (spread.max() < fatol
+                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < xatol):
+            break
+
+        centroid = x[:, :-1, :].mean(axis=1)
+        worst = x[:, -1, :]
+        xr = np.clip(centroid + (centroid - worst), lo, hi)
+        fr = fn(every, xr[:, None])[:, 0]
+
+        xe = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
+        fe = fn(every, xe[:, None])[:, 0]
+        outside = fr < f[:, -1]
+        xc = np.clip(np.where(outside[:, None], centroid + 0.5 * (xr - centroid),
+                              centroid - 0.5 * (centroid - worst)), lo, hi)
+        fc = fn(every, xc[:, None])[:, 0]
+
+        expand = fr < f[:, 0]
+        reflect = ~expand & (fr < f[:, -2])
+        take_e = expand & (fe < fr)
+        contract_ok = ~expand & ~reflect & np.where(outside, fc <= fr,
+                                                    fc < f[:, -1])
+        shrink = ~expand & ~reflect & ~contract_ok
+
+        new_worst = np.where(take_e[:, None], xe,
+                             np.where(contract_ok[:, None], xc, xr))
+        new_fworst = np.where(take_e, fe, np.where(contract_ok, fc, fr))
+        keep = expand | reflect | contract_ok
+        x[keep, -1] = new_worst[keep]
+        f[keep, -1] = new_fworst[keep]
+
+        if shrink.any():
+            shrunk = x[:, :1, :] + 0.5 * (x[:, 1:, :] - x[:, :1, :])
+            fs = fn(every, shrunk)
+            x[shrink, 1:] = shrunk[shrink]
+            f[shrink, 1:] = fs[shrink]
+
+    best = np.argmin(f, axis=1)
+    idx = np.arange(batch)
+    return x[idx, best, :], f[idx, best]

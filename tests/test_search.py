@@ -9,10 +9,11 @@ from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
                     cfrd_evaluate, default_alpha_grid, make_basis_state,
                     make_two_mode_squeezed, optimize_settings,
                     random_state, scan_cat_family)
-from cvbell import structured
+from cvbell import search, structured
 from cvbell.search import _sign_assignments
 
-from conftest import cat_closed_form, cat_closed_form_best_ratio
+from conftest import (cat_closed_form, cat_closed_form_best_ratio,
+                      eager_nelder_mead)
 
 
 def test_search_spec_validation():
@@ -136,14 +137,124 @@ def test_batched_nelder_mead_quadratic():
     hi = np.array([4.0, 4.0])
     targets = np.array([[1.0, -2.0], [0.5, 3.0], [-3.0, 0.25]])
 
-    def fn(x):
-        shaped = targets.reshape((3,) + (1,) * (x.ndim - 2) + (2,))
-        return ((x - shaped) ** 2).sum(axis=-1)
+    def fn(rows, x):
+        return ((x - targets[rows, None]) ** 2).sum(axis=-1)
 
     from cvbell import batched_nelder_mead
     xb, fb = batched_nelder_mead(fn, np.zeros((3, 2)), lo, hi)
     np.testing.assert_allclose(xb, targets, atol=1e-4)
     assert fb.max() < 1e-8
+
+
+def _two_mode_tables(count: int, seed: int) -> np.ndarray:
+    from cvbell import two_mode_moment_table
+
+    rng = np.random.default_rng(seed)
+    return np.stack([two_mode_moment_table(random_state(
+        ModeSpec(2, 6), "pure" if i % 2 == 0 else "mixed", headroom=3,
+        seed=int(rng.integers(1 << 31)))) for i in range(count)])
+
+
+def _two_mode_problem(tables: np.ndarray, signs, seed: int):
+    """(objective, x0, lo, hi) of best_beta_two_mode_batch's simplex."""
+    from cvbell import beta_from_table
+
+    spec = SettingsSearchSpec(n_modes=2)
+    lo = np.array([spec.theta_box[0]] * 2 + [spec.delta_box[0]] * 2)
+    hi = np.array([spec.theta_box[1]] * 2 + [spec.delta_box[1]] * 2)
+
+    def fn(rows, x):
+        return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:], signs)
+
+    x0 = lo + np.random.default_rng(seed).random((len(tables), 4)) * (hi - lo)
+    return fn, x0, lo, hi
+
+
+def test_simplex_evaluates_only_the_rows_each_step_needs():
+    from cvbell import batched_nelder_mead
+
+    batch = 64
+    fn, x0, lo, hi = _two_mode_problem(_two_mode_tables(batch, seed=8),
+                                       (1, -1), seed=2)
+    calls = []
+
+    def recording(rows, x):
+        values = fn(rows, x)
+        calls.append((np.arange(batch)[rows].tolist(), values))
+        return values
+
+    batched_nelder_mead(recording, x0, lo, hi)
+
+    # replay each problem's simplex values by the Nelder-Mead rules; each
+    # iteration must evaluate exactly the problems those rules need
+    (_, initial), *calls = calls
+    simplex = [sorted(v) for v in initial]
+    followups = expansions = shrinks = 0
+    while calls:
+        rows, values = calls.pop(0)
+        assert rows == list(range(batch)) and values.shape == (batch, 1)
+        fr = values[:, 0]
+        pending = []
+        for i, s in enumerate(simplex):
+            if s[0] <= fr[i] < s[-2]:
+                s[-1] = fr[i]
+            else:
+                pending.append(i)
+        if pending:
+            rows, values = calls.pop(0)
+            assert rows == pending and values.shape == (len(pending), 1)
+            followups += 1
+            shrinking = []
+            for i, fy in zip(pending, values[:, 0]):
+                s, r = simplex[i], fr[i]
+                if r < s[0]:
+                    expansions += 1
+                    s[-1] = fy if fy < r else r
+                elif fy <= r if r < s[-1] else fy < s[-1]:
+                    s[-1] = fy
+                else:
+                    shrinking.append(i)
+            if shrinking:
+                rows, values = calls.pop(0)
+                assert rows == shrinking and values.shape == (len(shrinking), 4)
+                shrinks += 1
+                for i, v in zip(shrinking, values):
+                    simplex[i][1:] = v
+        simplex = [sorted(s) for s in simplex]
+    assert followups and expansions and shrinks
+
+
+@pytest.mark.parametrize("problem", ["two-mode (1, -1)", "two-mode (-1, 1)",
+                                     "quadratic"])
+def test_simplex_matches_eager_oracle_bit_for_bit(problem):
+    from cvbell import batched_nelder_mead
+
+    if problem == "quadratic":
+        lo, hi = np.full(3, -4.0), np.full(3, 4.0)
+        rng = np.random.default_rng(4)
+        targets = rng.uniform(-3.0, 3.0, (64, 3))
+
+        def fn(rows, x):
+            return ((x - targets[rows, None]) ** 2).sum(axis=-1)
+
+        x0 = rng.uniform(-4.0, 4.0, (64, 3))
+    else:
+        signs = (1, -1) if problem == "two-mode (1, -1)" else (-1, 1)
+        fn, x0, lo, hi = _two_mode_problem(_two_mode_tables(64, seed=31),
+                                           signs, seed=6)
+    x, f = batched_nelder_mead(fn, x0, lo, hi)
+    x_want, f_want = eager_nelder_mead(fn, x0, lo, hi)
+    assert np.array_equal(x, x_want) and np.array_equal(f, f_want)
+
+
+def test_batch_sweep_matches_eager_oracle_bit_for_bit(monkeypatch):
+    from cvbell import best_beta_two_mode_batch
+
+    tables = _two_mode_tables(64, seed=31)
+    spec = SettingsSearchSpec(n_modes=2, restarts=2, seed=9)
+    got = best_beta_two_mode_batch(tables, spec)
+    monkeypatch.setattr(search, "batched_nelder_mead", eager_nelder_mead)
+    assert np.array_equal(got, best_beta_two_mode_batch(tables, spec))
 
 
 def test_batch_sweep_matches_scalar_optimizer():

@@ -1,5 +1,6 @@
 """Exact structured-superposition algebra vs the dense lattice oracle."""
 
+import cmath
 import math
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_mixed_number_coherent_overlap():
         want = math.exp(-abs(beta) ** 2 / 2) * beta ** m / math.sqrt(
             math.factorial(m))
         assert overlap(number_ket(m), coherent_ket(beta)) == pytest.approx(want)
+
+
+def test_coherent_element_equals_per_monomial_sum_exactly():
+    # the overlap factor is computed once per element; each monomial's term
+    # keeps the order (conj(b)^q g^p) * <b|g>, so the sum is bit-identical
+    poly = NormalOrderedPoly({(0, 0): 0.5 - 0.25j, (1, 0): 2.0 + 1.0j,
+                              (1, 2): -1.5j, (3, 1): 0.75})
+    assert len(poly.terms) == 4
+    for b, g in [(0.3 + 0.4j, -1.1 + 0.2j), (1.7 - 0.6j, 0.9 + 1.3j)]:
+        want = 0j
+        for (q, p), c in poly.terms.items():
+            want += c * (b.conjugate() ** q * g ** p * cmath.exp(
+                -abs(b) ** 2 / 2 - abs(g) ** 2 / 2 + b.conjugate() * g))
+        got = single_mode_matrix_element(coherent_ket(b), poly, coherent_ket(g))
+        assert repr(got) == repr(want)
 
 
 def test_structured_vacuum_annihilation_word():
