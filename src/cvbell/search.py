@@ -154,22 +154,25 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         rows = np.flatnonzero(~reflect)
         if rows.size == 0:
             continue
-        c, w, r, fr = centroid[rows], worst[rows], xr[rows], fr[rows]
-        expand = expand[rows]
-        fw = f[rows, -1]
-        outside = fr < fw
-        # expansion where the reflection beat the best vertex, else the
-        # outside or inside contraction
-        y = np.clip(np.where(expand[:, None], c + 2.0 * (c - w),
-                             np.where(outside[:, None], c + 0.5 * (r - c),
-                                      c - 0.5 * (c - w))), lo, hi)
-        fy = fn(rows, y[:, None])[:, 0]
-        take_y = np.where(expand, fy < fr, np.where(outside, fy <= fr, fy < fw))
+        # one more point for each of those rows: the expansion where the
+        # reflection beat the best vertex, else the outside or inside
+        # contraction. It is built at full width, since arrays whose size
+        # changes every iteration fragment the heap, and evaluated on rows.
+        outside = fr < f[:, -1]
+        y = np.clip(np.where(expand[:, None], centroid + 2.0 * (centroid - worst),
+                             np.where(outside[:, None],
+                                      centroid + 0.5 * (xr - centroid),
+                                      centroid - 0.5 * (centroid - worst))),
+                    lo, hi)
+        fy = np.full(batch, np.inf)
+        fy[rows] = fn(rows, y[rows, None])[:, 0]
+        take_y = ~reflect & np.where(expand, fy < fr,
+                                     np.where(outside, fy <= fr, fy < f[:, -1]))
         keep = expand | take_y
-        x[rows[keep], -1] = np.where(take_y[:, None], y, r)[keep]
-        f[rows[keep], -1] = np.where(take_y, fy, fr)[keep]
+        x[keep, -1] = np.where(take_y[:, None], y, xr)[keep]
+        f[keep, -1] = np.where(take_y, fy, fr)[keep]
 
-        shrink = rows[~keep]
+        shrink = np.flatnonzero(~(reflect | keep))
         if shrink.size:
             base = x[shrink, :1, :]
             shrunk = base + 0.5 * (x[shrink, 1:, :] - base)
