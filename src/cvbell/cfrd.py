@@ -131,11 +131,16 @@ def _real_part(value: complex, what: str, tol: float = 1e-8) -> float:
 def _mode_polys(theta: float, delta: float) -> tuple[NormalOrderedPoly, ...]:
     """(b, b^dag, N_b, cos_delta*N_b + 1/2) for one mode's angles."""
     u, v = _uv(theta, delta)
+    c = math.cos(delta)
+    ubar, vbar = u.conjugate(), v.conjugate()
+    # N_b = b^dag b = (|u|^2 + |v|^2) N + u* v a^dag^2 + u v* a^2 + |v|^2,
+    # summed in the order of the product b^dag * b, so values keep its bits
+    n_b = {(1, 1): ubar * u + vbar * v, (2, 0): ubar * v, (0, 2): vbar * u,
+           (0, 0): vbar * v}
+    rhs = {key: c * value for key, value in n_b.items()}
+    rhs[(0, 0)] += 0.5
     b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
-    bdag = b.dagger()
-    n_b = bdag * b
-    rhs_factor = n_b.scale(math.cos(delta)) + NormalOrderedPoly({(0, 0): 0.5})
-    return b, bdag, n_b, rhs_factor
+    return b, b.dagger(), NormalOrderedPoly(n_b), NormalOrderedPoly(rhs)
 
 
 def _b_pick(polys, signs: Sequence[int]) -> dict[int, NormalOrderedPoly]:

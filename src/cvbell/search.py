@@ -59,53 +59,53 @@ def _sign_assignments(n: int, include_trivial: bool):
         yield signs
 
 
-def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
-    """Maximize beta over signs (exhaustive) and angles (Nelder-Mead restarts)."""
-    # the package's only scipy use: importing it here spares every process
-    # that never optimizes about half a second of start-up
-    from scipy.optimize import minimize
+def _box(spec: SettingsSearchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the (thetas, deltas) box."""
+    n = spec.n_modes
+    return (np.array([spec.theta_box[0]] * n + [spec.delta_box[0]] * n),
+            np.array([spec.theta_box[1]] * n + [spec.delta_box[1]] * n))
 
+
+def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
+    """Maximize beta over signs (exhaustive) and angles (Nelder-Mead restarts).
+
+    Every (sign pattern, restart) pair is one problem of a single batched
+    simplex. Points past the ``max_evals``-th read +inf, which the simplex
+    never accepts, and only as many problems start as the budget can give a
+    whole initial simplex, so every problem keeps a finite best vertex.
+    """
     n = spec.n_modes
     if n != state.n_modes:
         raise ValueError("search spec mode count does not match state")
+    signs = list(_sign_assignments(n, spec.include_trivial_signs))
+    problems = min(len(signs) * spec.restarts,
+                   max(1, spec.max_evals // (2 * n + 1)))
+    lo, hi = _box(spec)
     rng = np.random.default_rng(spec.seed)
+    x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
     evals = 0
     exhausted = False
-    best_beta = -math.inf
-    best_args = None
 
-    lo = np.array([spec.theta_box[0]] * n + [spec.delta_box[0]] * n)
-    hi = np.array([spec.theta_box[1]] * n + [spec.delta_box[1]] * n)
-    bounds = list(zip(lo, hi))
+    def objective(rows, x):
+        nonlocal evals, exhausted
+        out = np.full(x.shape[:2], np.inf)
+        for i, row in enumerate(np.arange(problems)[rows]):
+            row_signs = signs[row // spec.restarts]
+            for j, point in enumerate(x[i].tolist()):
+                if evals == spec.max_evals:
+                    exhausted = True
+                    return out
+                evals += 1
+                out[i, j] = -cfrd_beta(state, point[:n], point[n:], row_signs)
+        return out
 
-    for signs in _sign_assignments(n, spec.include_trivial_signs):
-        if exhausted:
-            break
-
-        def objective(x):
-            nonlocal evals
-            evals += 1
-            return -cfrd_beta(state, x[:n], x[n:], signs)
-
-        for _ in range(spec.restarts):
-            remaining = spec.max_evals - evals
-            if remaining <= 0:
-                exhausted = True
-                break
-            x0 = lo + rng.random(2 * n) * (hi - lo)
-            res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
-                           options={"xatol": 1e-6, "fatol": 1e-10,
-                                    "maxfev": min(remaining, 200 * n)})
-            if -res.fun > best_beta:
-                best_beta = -res.fun
-                best_args = (tuple(res.x[:n]), tuple(res.x[n:]), signs)
-
-    if best_args is None:
-        raise ValueError("evaluation budget too small for a single restart")
-    thetas, deltas, signs = best_args
-    report = cfrd_evaluate(state, QuadratureSettings(thetas, deltas, signs))
-    return OptimizeResult(report=report, evaluations=evals,
-                          budget_exhausted=exhausted)
+    xbest, fbest = batched_nelder_mead(objective, x0, lo, hi, max_iter=100 * n)
+    best = int(np.argmin(fbest))
+    point = xbest[best].tolist()
+    settings = QuadratureSettings(tuple(point[:n]), tuple(point[n:]),
+                                  signs[best // spec.restarts])
+    return OptimizeResult(report=cfrd_evaluate(state, settings),
+                          evaluations=evals, budget_exhausted=exhausted)
 
 
 def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -117,12 +117,11 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     all of them, else an index array) at points ``x`` of shape
     (len(rows), k, dim) and returns (len(rows), k) values; ``x0`` has shape
     (batch, dim). Standard simplex coefficients (reflect 1, expand 2,
-    contract 1/2, shrink 1/2); candidates are clipped to the box, matching
-    the scalar optimizer's bound handling. Each iteration evaluates the
-    reflection of every problem, one more point (expansion or contraction)
-    only for problems whose reflection is not accepted, and the shrunk
-    vertices only of problems that shrink. Returns the per-problem best
-    point and value.
+    contract 1/2, shrink 1/2); candidates are clipped to the box. Each
+    iteration evaluates the reflection of every problem, one more point
+    (expansion or contraction) only for problems whose reflection is not
+    accepted, and the shrunk vertices only of problems that shrink. Returns
+    the per-problem best point and value.
     """
     x0 = np.asarray(x0, dtype=float)
     batch, dim = x0.shape
@@ -198,8 +197,7 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
         raise ValueError("batch sweep is specific to two modes")
     batch = tables.shape[0]
     rng = np.random.default_rng(spec.seed)
-    lo = np.array([spec.theta_box[0]] * 2 + [spec.delta_box[0]] * 2)
-    hi = np.array([spec.theta_box[1]] * 2 + [spec.delta_box[1]] * 2)
+    lo, hi = _box(spec)
     best = np.full(batch, -np.inf)
     for signs in _sign_assignments(2, spec.include_trivial_signs):
 

@@ -57,9 +57,6 @@ class NormalOrderedPoly:
             out[key] = out.get(key, 0.0) + c
         return NormalOrderedPoly(out)
 
-    def scale(self, c: complex) -> "NormalOrderedPoly":
-        return NormalOrderedPoly({k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other: "NormalOrderedPoly") -> "NormalOrderedPoly":
         """Operator product, re-expanded into normal order (exact)."""
         out: dict[tuple[int, int], complex] = {}

@@ -278,11 +278,13 @@ def test_minors_rejects_unsearchable_sizes(tmp_path, capsys, flags):
     assert captured.err.count("\n") == 1
 
 
-def test_non_optimize_commands_import_no_scipy(tmp_path):
-    # a fresh process: this one has already imported scipy
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh process, so that no module another test imported counts
     ghz = write_spec(tmp_path, {"type": "ghz", "n": 2, "cutoff": 4}, "ghz.json")
     tmsv = write_spec(tmp_path, {"type": "tmsv", "r": 0.3, "cutoff": 14,
                                  "headroom": 4}, "tmsv.json")
+    cat = write_spec(tmp_path, {"type": "cat", "n": 2, "alpha": [0.7, 0],
+                                "sign": 1}, "cat.json")
     settings = ["--theta", "0.4,1.2", "--delta", "0.3,-0.5", "--s", "1,-1"]
     requests = [
         ["eval", ghz, *settings],
@@ -290,6 +292,7 @@ def test_non_optimize_commands_import_no_scipy(tmp_path):
         ["minors", tmsv, "--bipartition", "01", "--order", "2",
          "--max-size", "2"],
         SCAN + ["--out", str(tmp_path / "scan.csv")],
+        ["optimize", cat, "--restarts", "1"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
