@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericalConsistencyError, SettingsError
 from .fock import DenseState, product_operator_expectation  # noqa: F401  (kept importable from cfrd)
 from .moments import poly_expectations
-from .structured import NormalOrderedPoly
+from .structured import NormalOrderedPoly, StructuredState, term_pair_elements
 
 VIOLATION_THRESHOLD = 1e-9
 
@@ -224,7 +224,7 @@ def _report(settings: QuadratureSettings, subsets, values) -> CfrdReport:
 
 def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
-    """lhs - rhs only; the lean objective for settings optimization."""
+    """lhs - rhs only; the per-point reference for ``beta_from_moments``."""
     settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
     polys = [_mode_polys(theta, delta)
              for theta, delta in zip(settings.thetas, settings.deltas)]
@@ -235,21 +235,36 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# vectorized two-mode fast path
+# moment tables: beta at many settings from one table per state
 #
-# Every moment entering beta on two modes is a bilinear combination of the
-# 36 pair moments <O_1 O_2> with O drawn from {1, a, a^dag, N, a^2, a^dag^2}.
-# Precomputing that table once per state turns each beta evaluation into a
-# closed form over the few entries that can be nonzero, which is what makes
-# large randomized sweeps affordable on one core. With c = cos(delta):
+# Every moment entering beta is a multilinear combination of the moments
+# <prod_k O_k> with each O_k drawn from the six monomials
+# {1, a, a^dag, N, a^2, a^dag^2}. Precomputing them once per state turns each
+# beta evaluation into a per-mode contraction over the few entries that can
+# be nonzero, which is what makes large searches affordable on one core.
+# With c = cos(delta):
 #   - B(+1) = b has coefficients (u, v) on (a, a^dag), and B(-1) = b^dag has
-#     (v*, u*), so <prod B> reads only the 2x2 block of {a, a^dag};
+#     (v*, u*), so <prod B> reads only the {a, a^dag} block;
 #   - c N_b + 1/2 has coefficients (1 - c/2, 1, w, w*) on (1, N, a^2, a^dag^2)
 #     with w = c u v* = e^{-2i theta} (1 - e^{-2i delta}) / 4, using
 #     c |v|^2 + 1/2 = 1 - c/2 and c (|u|^2 + |v|^2) = 1, so the rhs product
-#     reads only the 4x4 block of {1, N, a^2, a^dag^2}.
+#     reads only the {1, N, a^2, a^dag^2} block.
 
 _TABLE_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
+_MONOMIALS = tuple(NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS)
+_FORWARD = [1, 2]      # a, a^dag
+_RHS = [0, 3, 4, 5]    # 1, N, a^2, a^dag^2
+# entries of the largest contraction intermediate per chunk of points;
+# bounds memory when a simplex asks for many points at once
+_CONTRACT_BATCH_ENTRIES = 1 << 16
+
+
+def _monomial_tensor(state) -> np.ndarray:
+    """The 6^n tensor of <prod_k monomial_{m_k}>, monomials in table order."""
+    # index 0 is the identity, which a pick leaves out
+    picks = [{mode: _MONOMIALS[i] for mode, i in enumerate(combo) if i}
+             for combo in itertools.product(range(6), repeat=state.n_modes)]
+    return np.array(poly_expectations(state, picks)).reshape((6,) * state.n_modes)
 
 
 def two_mode_moment_table(state) -> np.ndarray:
@@ -259,11 +274,84 @@ def two_mode_moment_table(state) -> np.ndarray:
     """
     if state.n_modes != 2:
         raise SettingsError("moment table requires exactly two modes")
-    ops = [NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS]
-    # index 0 is the identity, which a pick leaves out
-    picks = [{mode: ops[i] for mode, i in enumerate(pair) if i}
-             for pair in itertools.product(range(6), repeat=2)]
-    return np.array(poly_expectations(state, picks)).reshape(6, 6)
+    return _monomial_tensor(state)
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """The moments beta reads, for one state: ``forward`` on the {a, a^dag}
+    monomials and ``rhs`` on the {1, N, a^2, a^dag^2} monomials of each mode.
+
+    A structured state keeps them factored over its T^2 term pairs:
+    ``weights`` has shape (T^2,) and each block (T^2, n, m), and a moment is
+    sum over pairs of weight * prod_k block[pair, k, m_k]. A dense state keeps
+    each block of the 6^n tensor as a tensor (m,)*n, and ``weights`` is None.
+    """
+
+    weights: np.ndarray | None
+    forward: np.ndarray
+    rhs: np.ndarray
+
+
+def moment_table(state) -> MomentTable:
+    """One state's ``MomentTable``: term-pair factors of a structured state
+    (6 n T^2 single-mode elements), the 6^n tensor of any other state."""
+    if isinstance(state, StructuredState):
+        weights, elements = term_pair_elements(state, _MONOMIALS)
+        return MomentTable(weights, elements[..., _FORWARD], elements[..., _RHS])
+    tensor = _monomial_tensor(state)
+    n = state.n_modes
+    return MomentTable(None, tensor[np.ix_(*[_FORWARD] * n)],
+                       tensor[np.ix_(*[_RHS] * n)])
+
+
+def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
+              ) -> np.ndarray:
+    """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
+    for points ``coeffs`` of shape (P, n, m); elementwise, without BLAS."""
+    if table.weights is not None:
+        per_mode = (coeffs[:, None] * block).sum(axis=-1)
+        return (table.weights * per_mode.prod(axis=-1)).sum(axis=-1)
+    _, n, m = coeffs.shape
+    acc = block.reshape(1, -1)
+    for k in range(n):
+        acc = (coeffs[:, k, :, None] * acc.reshape(len(acc), m, -1)).sum(axis=1)
+    return acc[:, 0]
+
+
+def beta_from_moments(table: MomentTable, thetas: np.ndarray,
+                      deltas: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """beta at a batch of settings from one state's ``MomentTable``.
+
+    ``thetas``, ``deltas`` and ``signs`` broadcast to a common shape (..., n),
+    so every settings row may carry its own signs; returns shape (...).
+    """
+    thetas, deltas, signs = np.broadcast_arrays(thetas, deltas, signs)
+    if not np.all(np.abs(deltas) < math.pi / 2):
+        raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
+    if not np.all((signs == 1) | (signs == -1)):
+        raise SettingsError("signs must be +1 or -1")
+    shape = thetas.shape[:-1]
+    n = thetas.shape[-1]
+    thetas, deltas, plus = (a.reshape(-1, n) for a in (thetas, deltas, signs == 1))
+    out = np.empty(len(thetas))
+    step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
+    for lo in range(0, len(out), step):
+        part = slice(lo, lo + step)
+        phase_d = np.exp(-1j * deltas[part])
+        cosd = phase_d.real
+        root = 2.0 * np.sqrt(cosd)
+        phase_t = np.exp(2j * thetas[part])
+        u = (1.0 + phase_d) / root
+        v = phase_t * (1.0 - phase_d.conj()) / root
+        w = phase_t.conj() * (1.0 - phase_d * phase_d) / 4.0
+        fwd = _contract(table, table.forward, np.stack(
+            (np.where(plus[part], u, v.conj()), np.where(plus[part], v, u.conj())),
+            axis=-1))
+        rhs = _contract(table, table.rhs, np.stack(
+            (1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1))
+        out[part] = np.abs(fwd) ** 2 - rhs.real / cosd.prod(axis=-1)
+    return out.reshape(shape)
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrd import (CfrdReport, QuadratureSettings, cfrd_beta, cfrd_evaluate,
-                   cfrd_evaluate_many)
+from .cfrd import (CfrdReport, QuadratureSettings, beta_from_moments,
+                   cfrd_evaluate, cfrd_evaluate_many, moment_table)
 
 DELTA_MARGIN = 0.05
 
@@ -70,9 +70,11 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     """Maximize beta over signs (exhaustive) and angles (Nelder-Mead restarts).
 
     Every (sign pattern, restart) pair is one problem of a single batched
-    simplex. Points past the ``max_evals``-th read +inf, which the simplex
-    never accepts, and only as many problems start as the budget can give a
-    whole initial simplex, so every problem keeps a finite best vertex.
+    simplex, whose objective contracts the state's ``moment_table`` once per
+    call, each row with its own signs. Points past the ``max_evals``-th read
+    +inf, which the simplex never accepts (a reflection call of nothing else
+    ends it), and only as many problems start as the budget can give a whole
+    initial simplex, so every problem keeps a finite best vertex.
     """
     n = spec.n_modes
     if n != state.n_modes:
@@ -83,21 +85,24 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     lo, hi = _box(spec)
     rng = np.random.default_rng(spec.seed)
     x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
+    row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems]
+    table = moment_table(state)
     evals = 0
     exhausted = False
 
     def objective(rows, x):
         nonlocal evals, exhausted
-        out = np.full(x.shape[:2], np.inf)
-        for i, row in enumerate(np.arange(problems)[rows]):
-            row_signs = signs[row // spec.restarts]
-            for j, point in enumerate(x[i].tolist()):
-                if evals == spec.max_evals:
-                    exhausted = True
-                    return out
-                evals += 1
-                out[i, j] = -cfrd_beta(state, point[:n], point[n:], row_signs)
-        return out
+        k = x.shape[1]
+        # points in row-then-point order; those past the budget read +inf
+        count = min(len(x) * k, spec.max_evals - evals)
+        exhausted |= count < len(x) * k
+        evals += count
+        out = np.full(len(x) * k, np.inf)
+        points = x.reshape(-1, 2 * n)[:count]
+        out[:count] = -beta_from_moments(
+            table, points[:, :n], points[:, n:],
+            np.repeat(row_signs[rows], k, axis=0)[:count])
+        return out.reshape(len(x), k)
 
     xbest, fbest = batched_nelder_mead(objective, x0, lo, hi, max_iter=100 * n)
     best = int(np.argmin(fbest))
@@ -120,8 +125,10 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     contract 1/2, shrink 1/2); candidates are clipped to the box. Each
     iteration evaluates the reflection of every problem, one more point
     (expansion or contraction) only for problems whose reflection is not
-    accepted, and the shrunk vertices only of problems that shrink. Returns
-    the per-problem best point and value.
+    accepted, and the shrunk vertices only of problems that shrink. A
+    reflection call that returns +inf on every row ends the search: no such
+    point is ever accepted, so nothing could change but the shrunk vertices,
+    never the best one. Returns the per-problem best point and value.
     """
     x0 = np.asarray(x0, dtype=float)
     batch, dim = x0.shape
@@ -145,6 +152,8 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         worst = x[:, -1, :]
         xr = np.clip(centroid + (centroid - worst), lo, hi)
         fr = fn(every, xr[:, None])[:, 0]
+        if np.isinf(fr).all():
+            break
         expand = fr < f[:, 0]
         reflect = ~expand & (fr < f[:, -2])
         x[reflect, -1] = xr[reflect]

@@ -218,6 +218,28 @@ class StructuredState:
         return float(self.gram_matrix().sum().real)
 
 
+def _term_pairs(state: StructuredState):
+    """(bra factors, ket factors, conj(c_i) c_j) over the T^2 term pairs."""
+    return [(fi, fj, ci.conjugate() * cj)
+            for ci, fi in state.terms for cj, fj in state.terms]
+
+
+def term_pair_elements(state: StructuredState, polys: Sequence[NormalOrderedPoly],
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Pair weights conj(c_i) c_j, shape (T^2,), and the single-mode elements
+    <t_{i,k}| poly |t_{j,k}> of every pair on every mode k, shape
+    (T^2, n, len(polys)).
+
+    The expectation of prod_k polys[m_k] on mode k is then
+    sum over pairs of weight * prod_k elements[pair, k, m_k].
+    """
+    pairs = _term_pairs(state)
+    elements = [[[single_mode_matrix_element(fi[k], poly, fj[k]) for poly in polys]
+                 for k in range(state.n_modes)] for fi, fj, _ in pairs]
+    return (np.array([w for _, _, w in pairs]),
+            np.array(elements, dtype=complex))
+
+
 def structured_poly_expectation(state: StructuredState,
                                 picks: Sequence[dict[int, NormalOrderedPoly]],
                                 ) -> list[complex]:
@@ -228,8 +250,7 @@ def structured_poly_expectation(state: StructuredState,
     elements over the T^2 pairs of the state's T terms; each pick multiplies
     its lists pair by pair, mode 0 first, stopping a pair at an exact zero.
     """
-    pairs = [(fi, fj, ci.conjugate() * cj)
-             for ci, fi in state.terms for cj, fj in state.terms]
+    pairs = _term_pairs(state)
     ident = NormalOrderedPoly.identity()
     elements: dict[tuple[int, int], list[complex]] = {}
     out = []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cvbell import (DenseState, ModeSpec, QuadratureSettings, SettingsError,
                     StructuredState, build_moment_matrix, cfrd_beta,
                     cfrd_evaluate, cfrd_evaluate_many, cfrd_minor_determinant,
-                    coherent_ket, make_basis_state,
+                    coherent_ket, make_basis_state, make_cat_family,
                     make_coherent_product, make_fock_pair, make_ghz_like,
                     make_two_mode_squeezed, mode_transform, number_ket,
                     quadrature_matrices,
@@ -460,3 +460,73 @@ def test_evaluate_many_equals_single_calls(state, expand):
     assert cfrd_evaluate_many(state, []) == []
     with pytest.raises(SettingsError):
         cfrd_evaluate_many(state, shared + [_settings([0] * 2, [0] * 2, [1, -1])])
+
+
+def _table_states():
+    states = [pytest.param(make_cat_family(n, 0.7 + 0.4j, sign),
+                           id=f"cat-n{n}-{sign:+d}")
+              for n in range(1, 11) for sign in (1, -1)]
+    states += [pytest.param(make_fock_pair(n, range(n // 2)), id=f"fock-pair-n{n}")
+               for n in range(2, 15)]
+    states.append(pytest.param(_mixed_structured_state(), id="number-and-coherent"))
+    states += [pytest.param(random_state(ModeSpec(n, 5), kind, headroom=2, seed=n),
+                            id=f"dense-{kind}-n{n}")
+               for n in (2, 3, 4) for kind in ("pure", "mixed")]
+    states.append(pytest.param(make_two_mode_squeezed(ModeSpec(2, 47), 0.5),
+                               id="tmsv-cutoff47"))
+    return states
+
+
+@pytest.mark.parametrize("state", _table_states())
+def test_moment_table_contraction_matches_cfrd_beta(state):
+    # a batch of (P, k, n) points, each row of k points with its own signs
+    from cvbell.cfrd import beta_from_moments, moment_table
+
+    n = state.n_modes
+    rng = np.random.default_rng(n)
+    thetas = rng.uniform(0, 2 * math.pi, (3, 4, n))
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (3, 4, n))
+    signs = rng.choice([1, -1], (3, 1, n))
+    signs[0, 0] = -signs[1, 0]
+    got = beta_from_moments(moment_table(state), thetas, deltas, signs)
+    assert got.shape == (3, 4)
+    want = [[cfrd_beta(state, thetas[p, j], deltas[p, j], signs[p, 0])
+             for j in range(4)] for p in range(3)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_moment_table_blocks_and_checks():
+    from cvbell.cfrd import beta_from_moments, moment_table
+
+    state = make_two_mode_squeezed(ModeSpec(2, 47), 0.5)
+    tensor = two_mode_moment_table(state)
+    table = moment_table(state)
+    assert np.array_equal(table.forward, tensor[np.ix_([1, 2], [1, 2])])
+    assert np.array_equal(table.rhs, tensor[np.ix_([0, 3, 4, 5], [0, 3, 4, 5])])
+
+    thetas, deltas = np.zeros(2), np.full(2, 0.3)
+    with pytest.raises(SettingsError):
+        beta_from_moments(table, thetas, deltas, [1, 0])
+    for edge in (math.pi / 2, -math.pi / 2, math.nan):
+        with pytest.raises(SettingsError):
+            beta_from_moments(table, thetas, [0.3, edge], [1, -1])
+
+
+@pytest.mark.parametrize("state", [make_fock_pair(10, range(5)),
+                                   random_state(ModeSpec(4, 5), "mixed", 2, 3)],
+                         ids=["fock-pair-n10", "dense-mixed-n4"])
+def test_moment_table_chunks_change_no_bits(state):
+    # 1000 points span several chunks of the contraction; each point's value
+    # is the one it gets alone
+    from cvbell.cfrd import beta_from_moments, moment_table
+
+    n = state.n_modes
+    table = moment_table(state)
+    rng = np.random.default_rng(3)
+    thetas = rng.uniform(0, 2 * math.pi, (1000, n))
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (1000, n))
+    signs = rng.choice([1, -1], (1000, n))
+    batch = beta_from_moments(table, thetas, deltas, signs)
+    alone = [beta_from_moments(table, t, d, s)
+             for t, d, s in zip(thetas, deltas, signs)]
+    assert np.array_equal(batch, alone)

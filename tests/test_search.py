@@ -66,6 +66,29 @@ def test_budget_exhaustion_flagged():
     assert math.isfinite(res.report.beta)
 
 
+def test_simplex_stops_once_the_budget_is_spent(monkeypatch):
+    # 60 problems of 5 vertices fill the 300 evaluations; the next reflection
+    # call reads +inf on every row and ends the search
+    calls = []
+    real = search.batched_nelder_mead
+
+    def recording(fn, *args, **kwargs):
+        def fn_recorded(rows, x):
+            values = fn(rows, x)
+            calls.append(values)
+            return values
+        return real(fn_recorded, *args, **kwargs)
+
+    monkeypatch.setattr(search, "batched_nelder_mead", recording)
+    state = random_state(ModeSpec(2, 6), "pure", headroom=3, seed=2)
+    res = optimize_settings(state, SettingsSearchSpec(n_modes=2, restarts=50,
+                                                      seed=0, max_evals=300))
+    assert res.budget_exhausted and res.evaluations == 300
+    assert math.isfinite(res.report.beta)
+    spent = next(i for i, v in enumerate(calls) if np.isinf(v).any())
+    assert sum(bool(np.isinf(v).all()) for v in calls[spent + 1:]) <= 1
+
+
 @pytest.mark.parametrize("max_evals", [1, 4, 5])
 def test_budget_edges_leave_a_finite_best(max_evals):
     # 1 and 2n evaluations cannot fill one initial simplex of 2n + 1 points,
@@ -341,3 +364,30 @@ def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
     n, n_terms = 6, 2
     scan_cat_family([n], [0.7], 1)
     assert 0 < calls <= 5 * n * n_terms ** 2
+
+
+def test_optimizer_reads_one_moment_table(monkeypatch):
+    # the search builds one table of 6 n T^2 single-mode elements and never
+    # calls cfrd_beta; the final report makes its own calls
+    from cvbell import cfrd, make_cat_family
+
+    calls = 0
+    real = structured.single_mode_matrix_element
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("optimize_settings called cfrd_beta")
+
+    monkeypatch.setattr(structured, "single_mode_matrix_element", counted)
+    monkeypatch.setattr(cfrd, "cfrd_beta", forbidden)
+    monkeypatch.setattr(search, "cfrd_beta", forbidden, raising=False)
+    n, n_terms = 2, 2
+    state = make_cat_family(n, 0.8, 1)
+    res = optimize_settings(state, SettingsSearchSpec(n_modes=n, seed=3))
+    search_calls, calls = calls, 0
+    cfrd_evaluate(state, res.report.settings)
+    assert 0 < search_calls <= 6 * n * n_terms ** 2 + calls
