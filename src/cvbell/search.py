@@ -72,9 +72,10 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     Every (sign pattern, restart) pair is one problem of a single batched
     simplex, whose objective contracts the state's ``moment_table`` once per
     call, each row with its own signs. Points past the ``max_evals``-th read
-    +inf, which the simplex never accepts (a reflection call of nothing else
-    ends it), and only as many problems start as the budget can give a whole
-    initial simplex, so every problem keeps a finite best vertex.
+    +inf, which the simplex never accepts, and the search ends at the first
+    reflection call made wholly past the budget. Only as many problems start
+    as the budget can give a whole initial simplex, so every problem keeps a
+    finite best vertex.
     """
     n = spec.n_modes
     if n != state.n_modes:
