@@ -224,14 +224,10 @@ def _report(settings: QuadratureSettings, subsets, values) -> CfrdReport:
 
 def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
-    """lhs - rhs only; the per-point reference for ``beta_from_moments``."""
+    """``cfrd_evaluate``'s beta = lhs - rhs at one settings; the per-point
+    reference for ``beta_from_moments``."""
     settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
-    polys = [_mode_polys(theta, delta)
-             for theta, delta in zip(settings.thetas, settings.deltas)]
-    fwd, rhs = poly_expectations(state, [_b_pick(polys, settings.signs),
-                                         {k: p[3] for k, p in enumerate(polys)}])
-    cos_all = [math.cos(d) for d in settings.deltas]
-    return abs(fwd) ** 2 - rhs.real / math.prod(cos_all)
+    return cfrd_evaluate(state, settings, expand_s_squared=False).beta
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +301,19 @@ def moment_table(state) -> MomentTable:
                        tensor[np.ix_(*[_RHS] * n)])
 
 
+def _bogoliubov(thetas: np.ndarray, deltas: np.ndarray):
+    """(u, v, w, cos delta) per point and mode: b = u a + v a^dag, and the
+    a^2 coefficient w = c u v* of c N_b + 1/2."""
+    phase_d = np.exp(-1j * deltas)
+    cosd = phase_d.real
+    root = 2.0 * np.sqrt(cosd)
+    phase_t = np.exp(2j * thetas)
+    u = (1.0 + phase_d) / root
+    v = phase_t * (1.0 - phase_d.conj()) / root
+    w = phase_t.conj() * (1.0 - phase_d * phase_d) / 4.0
+    return u, v, w, cosd
+
+
 def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
               ) -> np.ndarray:
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
@@ -338,13 +347,7 @@ def beta_from_moments(table: MomentTable, thetas: np.ndarray,
     step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
     for lo in range(0, len(out), step):
         part = slice(lo, lo + step)
-        phase_d = np.exp(-1j * deltas[part])
-        cosd = phase_d.real
-        root = 2.0 * np.sqrt(cosd)
-        phase_t = np.exp(2j * thetas[part])
-        u = (1.0 + phase_d) / root
-        v = phase_t * (1.0 - phase_d.conj()) / root
-        w = phase_t.conj() * (1.0 - phase_d * phase_d) / 4.0
+        u, v, w, cosd = _bogoliubov(thetas[part], deltas[part])
         fwd = _contract(table, table.forward, np.stack(
             (np.where(plus[part], u, v.conj()), np.where(plus[part], v, u.conj())),
             axis=-1))
@@ -365,13 +368,7 @@ def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
     deltas = np.asarray(deltas, dtype=float)
     if np.any(np.abs(deltas) >= math.pi / 2):
         raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
-    phase_d = np.exp(-1j * deltas)
-    cosd = phase_d.real
-    root = 2.0 * np.sqrt(cosd)
-    phase_t = np.exp(2j * thetas)
-    u = (1.0 + phase_d) / root
-    v = phase_t * (1.0 - phase_d.conj()) / root
-    w = phase_t.conj() * (1.0 - phase_d * phase_d) / 4.0
+    u, v, w, cosd = _bogoliubov(thetas, deltas)
     t = table
 
     coeffs = []

@@ -49,6 +49,7 @@ _SPEC_FIELDS = {
     "coherent": {"alphas", "cutoff", "headroom"},
     "tmsv": {"r", "cutoff", "headroom"},
     "cat": {"n", "alpha", "sign", "structured"},
+    "fock_pair": {"n", "flipped"},
     "random": {"n", "cutoff", "kind", "headroom", "seed"},
 }
 
@@ -86,6 +87,9 @@ def parse_state_spec(doc: dict):
                 raise SpecParseError("cat specs are structured-only")
             return structured.make_cat_family(
                 int(doc["n"]), _complex_from_json(doc["alpha"]), int(doc["sign"]))
+        if kind == "fock_pair":
+            return structured.make_fock_pair(int(doc["n"]),
+                                             [int(k) for k in doc["flipped"]])
         # random
         spec = fock.ModeSpec(int(doc["n"]), int(doc["cutoff"]))
         return fock.random_state(spec, doc.get("kind", "pure"),

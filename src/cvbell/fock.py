@@ -274,6 +274,8 @@ def _support_mask(spec: ModeSpec, cap: int) -> np.ndarray:
 def random_state(spec: ModeSpec, kind: Literal["pure", "mixed"],
                  headroom: int, seed: int) -> DenseState:
     """Seeded Gaussian-random state supported below the headroom cap."""
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"random state kind must be 'pure' or 'mixed', got {kind!r}")
     cap = _support_cap(spec, headroom)
     rng = np.random.default_rng(seed)
     mask = _support_mask(spec, cap)

@@ -7,9 +7,9 @@ principal minor of such a matrix characterizes positivity of the partial
 transpose across the chosen bipartition; at finite order only the
 necessary direction is testable.
 
-The ladder frame ``b`` defaults to the bare mode operators; passing a
-Bogoliubov transform (per-mode (u, v) with b = u a + v a^dag) evaluates the
-same structure in a rotated/squeezed frame.
+Matrices are built on the bare mode operators b = a; the CFRD minor also
+takes per-mode Bogoliubov transforms (u, v) with b = u a + v a^dag, the
+rotated/squeezed frame of the Bell functional's settings.
 """
 
 from __future__ import annotations
@@ -69,29 +69,6 @@ def _b_polys(transform) -> tuple[NormalOrderedPoly, NormalOrderedPoly]:
     return b, b.dagger()
 
 
-def _entry_polys(n_modes: int, bipartition: frozenset[int], row: IndexPair,
-                 col: IndexPair, transforms) -> dict[int, NormalOrderedPoly]:
-    kvec, lvec = row
-    pvec, qvec = col
-    polys = {}
-    for mode in range(n_modes):
-        tr = None if transforms is None else transforms[mode]
-        b, bdag = _b_polys(tr)
-        if mode in bipartition:
-            exps = [(bdag, qvec[mode]), (b, pvec[mode]),
-                    (bdag, kvec[mode]), (b, lvec[mode])]
-        else:
-            exps = [(bdag, lvec[mode]), (b, kvec[mode]),
-                    (bdag, pvec[mode]), (b, qvec[mode])]
-        poly = NormalOrderedPoly.identity()
-        for base, power in exps:
-            for _ in range(power):
-                poly = poly * base
-        if poly.terms != {(0, 0): 1.0 + 0j}:
-            polys[mode] = poly
-    return polys
-
-
 def poly_expectations(state, picks: Sequence[dict[int, NormalOrderedPoly]],
                       ) -> list[complex]:
     """Expectations of products of per-mode normal-ordered polynomials.
@@ -115,33 +92,55 @@ def poly_expectations(state, picks: Sequence[dict[int, NormalOrderedPoly]],
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
+def _entries(state, part: frozenset[int], rows: Sequence[IndexPair],
+             cols: Sequence[IndexPair], transforms) -> np.ndarray:
+    """Entries at ``rows`` x ``cols`` in one ``poly_expectations`` call, in
+    the frame ``transforms`` (per-mode (u, v), None for b = a). Each distinct
+    (mode, exponents) word is built once and shared by the entries using it.
+    """
+    ladders = [_b_polys(None if transforms is None else transforms[mode])
+               for mode in range(state.n_modes)]
+    words: dict[tuple[int, tuple[int, ...]], NormalOrderedPoly] = {}
+    picks = []
+    for kvec, lvec in rows:
+        for pvec, qvec in cols:
+            pick = {}
+            for mode, (b, bdag) in enumerate(ladders):
+                if mode in part:
+                    exps = (qvec[mode], pvec[mode], kvec[mode], lvec[mode])
+                else:
+                    exps = (lvec[mode], kvec[mode], pvec[mode], qvec[mode])
+                if not any(exps):
+                    continue
+                if (mode, exps) not in words:
+                    poly = NormalOrderedPoly.identity()
+                    for base, power in zip((bdag, b, bdag, b), exps):
+                        for _ in range(power):
+                            poly = poly * base
+                    words[mode, exps] = poly
+                pick[mode] = words[mode, exps]
+            picks.append(pick)
+    values = poly_expectations(state, picks)
+    return np.array(values, dtype=complex).reshape(len(rows), len(cols))
+
+
 def moment_entry(state, bipartition: Iterable[int], row: IndexPair,
-                 col: IndexPair, transforms: Sequence[tuple[complex, complex]] | None = None,
-                 ) -> complex:
+                 col: IndexPair) -> complex:
     """Single matrix-of-moments entry for the given row/column exponents.
 
     The empty and all-mode bipartitions are allowed here: they label the
     state-positivity matrix rather than a genuine partial transpose.
     """
-    n = state.n_modes
-    part = frozenset(bipartition)
-    polys = _entry_polys(n, part, row, col, transforms)
-    return poly_expectations(state, [polys])[0]
+    return complex(_entries(state, frozenset(bipartition), [row], [col], None)[0, 0])
 
 
 def build_moment_matrix(state, bipartition: Iterable[int], order: int,
-                        transforms: Sequence[tuple[complex, complex]] | None = None,
                         ) -> MomentMatrix:
     """Full matrix over all exponent pairs with total degree <= order."""
     part = frozenset(bipartition)
     pairs = index_pairs(state.n_modes, order)
-    dim = len(pairs)
-    entries = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(pairs):
-        for j, col in enumerate(pairs):
-            entries[i, j] = moment_entry(state, part, row, col, transforms)
     return MomentMatrix(bipartition=part, order=order, index_list=pairs,
-                        entries=entries)
+                        entries=_entries(state, part, pairs, pairs, None))
 
 
 def principal_minor(matrix: MomentMatrix, subset: Sequence[int]) -> MinorReport:
@@ -182,26 +181,17 @@ def find_negative_minor(matrix: MomentMatrix, max_size: int = 3) -> MinorReport 
     return None
 
 
-def cfrd_minor_indices(n_modes: int) -> tuple[IndexPair, IndexPair]:
-    """Row indices of the 2x2 minor tied to the Bell functional.
+def cfrd_minor_determinant(state, bipartition: Iterable[int],
+                           transforms: Sequence[tuple[complex, complex]] | None = None,
+                           ) -> float:
+    """The 2x2 minor tied to the Bell functional, from its four entries.
 
     Row one is the identity moment; row two has l = 1 on every mode, which
     puts the product-of-number-operators moment on the diagonal.
     """
-    zero = (0,) * n_modes
-    ones = (1,) * n_modes
-    return (zero, zero), (zero, ones)
-
-
-def cfrd_minor_determinant(state, bipartition: Iterable[int],
-                           transforms: Sequence[tuple[complex, complex]] | None = None,
-                           ) -> float:
-    """The 2x2 minor det computed entirely through moment_entry calls."""
-    r0, r1 = cfrd_minor_indices(state.n_modes)
     part = frozenset(bipartition)
-    m = np.array([[moment_entry(state, part, r, c, transforms)
-                   for c in (r0, r1)] for r in (r0, r1)])
-    det = complex(np.linalg.det(m))
-    if abs(det.imag) > 1e-9 * max(1.0, abs(det)):
-        raise NumericalConsistencyError(f"minor determinant {det} not real")
-    return det.real
+    zero, ones = (0,) * state.n_modes, (1,) * state.n_modes
+    pairs = [(zero, zero), (zero, ones)]
+    matrix = MomentMatrix(bipartition=part, order=state.n_modes, index_list=pairs,
+                          entries=_entries(state, part, pairs, pairs, transforms))
+    return principal_minor(matrix, (0, 1)).determinant

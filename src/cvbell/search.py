@@ -19,30 +19,25 @@ from .cfrd import (CfrdReport, QuadratureSettings, beta_from_moments,
                    cfrd_evaluate, cfrd_evaluate_many, moment_table)
 
 DELTA_MARGIN = 0.05
+SIMPLEX_FATOL = 1e-10
+SIMPLEX_XATOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SettingsSearchSpec:
     n_modes: int
-    theta_box: tuple[float, float] = (0.0, 2.0 * math.pi)
-    delta_box: tuple[float, float] = (-math.pi / 2 + DELTA_MARGIN,
-                                      math.pi / 2 - DELTA_MARGIN)
     restarts: int = 4
     seed: int = 0
     max_evals: int = 20_000
-    include_trivial_signs: bool = False
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_evals < 1:
             raise ValueError("evaluation budget must be positive")
-        if self.n_modes < 2 and not self.include_trivial_signs:
+        if self.n_modes < 2:
             raise ValueError("a single mode has no nontrivial sign split "
                              "to search")
-        lo, hi = self.delta_box
-        if not (-math.pi / 2 < lo <= hi < math.pi / 2):
-            raise ValueError("delta box must sit strictly inside (-pi/2, pi/2)")
 
 
 @dataclass
@@ -52,18 +47,17 @@ class OptimizeResult:
     budget_exhausted: bool
 
 
-def _sign_assignments(n: int, include_trivial: bool):
+def _sign_assignments(n: int):
+    """Sign patterns with both signs: the nontrivial bipartitions."""
     for signs in itertools.product((1, -1), repeat=n):
-        if not include_trivial and len(set(signs)) < 2:
-            continue
-        yield signs
+        if len(set(signs)) == 2:
+            yield signs
 
 
-def _box(spec: SettingsSearchSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of the (thetas, deltas) box."""
-    n = spec.n_modes
-    return (np.array([spec.theta_box[0]] * n + [spec.delta_box[0]] * n),
-            np.array([spec.theta_box[1]] * n + [spec.delta_box[1]] * n))
+def _box(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the (thetas, deltas) box over n modes."""
+    return (np.array([0.0] * n + [-math.pi / 2 + DELTA_MARGIN] * n),
+            np.array([2.0 * math.pi] * n + [math.pi / 2 - DELTA_MARGIN] * n))
 
 
 def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
@@ -80,10 +74,10 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     n = spec.n_modes
     if n != state.n_modes:
         raise ValueError("search spec mode count does not match state")
-    signs = list(_sign_assignments(n, spec.include_trivial_signs))
+    signs = list(_sign_assignments(n))
     problems = min(len(signs) * spec.restarts,
                    max(1, spec.max_evals // (2 * n + 1)))
-    lo, hi = _box(spec)
+    lo, hi = _box(n)
     rng = np.random.default_rng(spec.seed)
     x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
     row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems]
@@ -105,7 +99,7 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
             np.repeat(row_signs[rows], k, axis=0)[:count])
         return out.reshape(len(x), k)
 
-    xbest, fbest = batched_nelder_mead(objective, x0, lo, hi, max_iter=100 * n)
+    xbest, fbest = batched_nelder_mead(objective, x0, lo, hi)
     best = int(np.argmin(fbest))
     point = xbest[best].tolist()
     settings = QuadratureSettings(tuple(point[:n]), tuple(point[n:]),
@@ -115,8 +109,7 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
 
 
 def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                        max_iter: int = 200, fatol: float = 1e-10,
-                        xatol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize many independent box-constrained problems in lockstep.
 
     ``fn(rows, x)`` evaluates the problems ``rows`` (``slice(None)`` for
@@ -129,7 +122,10 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     accepted, and the shrunk vertices only of problems that shrink. A
     reflection call that returns +inf on every row ends the search: no such
     point is ever accepted, so nothing could change but the shrunk vertices,
-    never the best one. Returns the per-problem best point and value.
+    never the best one. The search also ends after ``50 * dim`` iterations,
+    or once every simplex has spread below ``SIMPLEX_FATOL`` in value and
+    ``SIMPLEX_XATOL`` in position. Returns the per-problem best point and
+    value.
     """
     x0 = np.asarray(x0, dtype=float)
     batch, dim = x0.shape
@@ -140,13 +136,13 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         x[:, k + 1, k] = np.clip(x[:, k + 1, k] + step[k], lo[k], hi[k])
     f = fn(every, x)
 
-    for _ in range(max_iter):
+    for _ in range(50 * dim):
         order = np.argsort(f, axis=1)
         f = np.take_along_axis(f, order, axis=1)
         x = np.take_along_axis(x, order[:, :, None], axis=1)
         spread = f[:, -1] - f[:, 0]
-        if (spread.max() < fatol
-                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < xatol):
+        if (spread.max() < SIMPLEX_FATOL
+                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < SIMPLEX_XATOL):
             break
 
         centroid = x[:, :-1, :].mean(axis=1)
@@ -199,7 +195,9 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
 
     ``tables`` stacks ``two_mode_moment_table`` outputs, shape (batch, 6, 6).
     Mirrors ``optimize_settings`` (exhaustive nontrivial signs, seeded
-    simplex restarts) but runs every state in one vectorized pass.
+    simplex restarts) but runs every state in one vectorized pass. It reads
+    only ``n_modes``, ``restarts`` and ``seed`` of ``spec``; ``max_evals``
+    is not applied.
     """
     from .cfrd import beta_from_table
 
@@ -207,9 +205,9 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
         raise ValueError("batch sweep is specific to two modes")
     batch = tables.shape[0]
     rng = np.random.default_rng(spec.seed)
-    lo, hi = _box(spec)
+    lo, hi = _box(2)
     best = np.full(batch, -np.inf)
-    for signs in _sign_assignments(2, spec.include_trivial_signs):
+    for signs in _sign_assignments(2):
 
         def objective(rows, x):
             return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:],
@@ -244,7 +242,7 @@ def _scan_sign_choices(n: int, exhaustive: bool):
         # no nontrivial split exists for a single mode; scan both labels
         return [(1,), (-1,)]
     if exhaustive or n <= 6:
-        return list(_sign_assignments(n, include_trivial=False))
+        return list(_sign_assignments(n))
     # at delta=0 the functional depends on the signs only through the
     # number of -1 entries; one representative per count suffices
     return [tuple(-1 if k < m else 1 for k in range(n)) for m in range(1, n)]

@@ -308,8 +308,8 @@ def make_fock_pair(n: int, flipped: Sequence[int]) -> StructuredState:
     the mixed-setting inequality shows a violation at large mode counts.
     """
     flip = frozenset(flipped)
-    if not flip or flip == frozenset(range(n)):
-        raise ValueError("flipped set must be a proper nonempty subset")
+    if not flip or not flip < frozenset(range(n)):
+        raise ValueError("flipped set must be a proper nonempty subset of the modes")
     branch_a = tuple(number_ket(0 if k in flip else 1) for k in range(n))
     branch_b = tuple(number_ket(1 if k in flip else 0) for k in range(n))
     c = 1.0 / math.sqrt(2)

@@ -71,7 +71,7 @@ def ladder_word_oracle(state, word) -> complex:
     return complex(np.vdot(psi, out))
 
 
-def eager_nelder_mead(fn, x0, lo, hi, max_iter=200, fatol=1e-10, xatol=1e-6):
+def eager_nelder_mead(fn, x0, lo, hi):
     """Batched box-constrained Nelder-Mead that evaluates every problem at
     every candidate: reflection, expansion, contraction and, whenever any
     problem shrinks, every problem's shrunk vertices.
@@ -79,7 +79,9 @@ def eager_nelder_mead(fn, x0, lo, hi, max_iter=200, fatol=1e-10, xatol=1e-6):
     It keeps the simplex that evaluated all candidates eagerly, as an oracle
     for ``cvbell.batched_nelder_mead``, which evaluates only the points each
     problem uses; both must follow the same trajectory bit for bit. ``fn``
-    takes the same ``(rows, x)`` arguments, always with every row.
+    takes the same ``(rows, x)`` arguments, always with every row. Like it,
+    it runs at most 50 iterations per dimension and stops on the same
+    tolerances.
     """
     every = slice(None)
     x0 = np.asarray(x0, dtype=float)
@@ -90,13 +92,13 @@ def eager_nelder_mead(fn, x0, lo, hi, max_iter=200, fatol=1e-10, xatol=1e-6):
         x[:, k + 1, k] = np.clip(x[:, k + 1, k] + step[k], lo[k], hi[k])
     f = fn(every, x)
 
-    for _ in range(max_iter):
+    for _ in range(50 * dim):
         order = np.argsort(f, axis=1)
         f = np.take_along_axis(f, order, axis=1)
         x = np.take_along_axis(x, order[:, :, None], axis=1)
         spread = f[:, -1] - f[:, 0]
-        if (spread.max() < fatol
-                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < xatol):
+        if (spread.max() < 1e-10
+                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < 1e-6):
             break
 
         centroid = x[:, :-1, :].mean(axis=1)

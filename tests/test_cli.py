@@ -121,6 +121,53 @@ def test_eval_overflowing_cat_exit_code(tmp_path, capsys, alpha):
     assert out == ""
 
 
+def test_eval_unknown_random_kind_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"type": "random", "n": 2, "cutoff": 4,
+                                 "kind": "bogus"})
+    code, out = run(capsys, ["eval", spec, "--theta", "0,0",
+                             "--delta", "0,0", "--s", "1,-1"])
+    assert code == 2
+    assert out == ""
+
+
+def _fock_pair_args(tmp_path, flipped, command="eval"):
+    # s = +1 on the flipped modes reads the pair's balanced split
+    spec = write_spec(tmp_path, {"type": "fock_pair", "n": 10,
+                                 "flipped": flipped})
+    signs = ",".join("1" if k in flipped else "-1" for k in range(10))
+    zeros = ",".join(["0"] * 10)
+    return [command, spec, "--theta", zeros, "--delta", zeros, f"--s={signs}"]
+
+
+def test_eval_fock_pair_violates_at_ten_modes(tmp_path, capsys, schema):
+    code, out = run(capsys, _fock_pair_args(tmp_path, [0, 1, 2, 3, 4]))
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    report = doc["report"]
+    assert report["violated"] is True
+    assert report["lhs"] / report["rhs"] == pytest.approx(
+        0.25 * (4 / 3) ** 5, rel=1e-12)
+
+
+def test_verify_fock_pair_is_consistent(tmp_path, capsys, schema):
+    # a structured state has no dense partial transpose to report
+    code, out = run(capsys, _fock_pair_args(tmp_path, [0, 1, 2, 3, 4],
+                                            command="verify"))
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert doc["consistent"] is True and doc["report"]["violated"] is True
+    assert doc["pt_min_eig"] is None
+
+
+@pytest.mark.parametrize("flipped", [[], list(range(10)), [0, 10]])
+def test_fock_pair_needs_a_proper_flipped_subset(tmp_path, capsys, flipped):
+    code, out = run(capsys, _fock_pair_args(tmp_path, flipped))
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_tmsv(tmp_path, capsys, schema):
     spec = write_spec(tmp_path, {"type": "tmsv", "r": 0.3, "cutoff": 14})
     code, out = run(capsys, ["verify", spec, "--theta", "0.4,1.2",

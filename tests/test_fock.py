@@ -124,6 +124,11 @@ def test_random_state_deterministic():
     np.testing.assert_array_equal(a.array, b.array)
 
 
+def test_random_state_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        random_state(ModeSpec(2, 4), "bogus", headroom=1, seed=0)
+
+
 def test_random_mixed_state_psd():
     spec = ModeSpec(2, 4)
     rho = random_state(spec, "mixed", headroom=1, seed=3)

@@ -182,6 +182,29 @@ def test_structured_and_dense_entries_agree():
                 assert a == pytest.approx(b, abs=1e-8)
 
 
+def test_moment_matrix_evaluates_each_word_once(monkeypatch):
+    # one list of single-mode elements over the T^2 term pairs per distinct
+    # (mode, exponents) word, the identity included, for the whole matrix
+    from cvbell import make_cat_family, structured
+
+    calls = 0
+    real = structured.single_mode_matrix_element
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(structured, "single_mode_matrix_element", counted)
+    n, n_terms, part = 2, 2, {0}
+    pairs = index_pairs(n, 2)
+    build_moment_matrix(make_cat_family(n, 0.7, 1), part, 2)
+    words = {(mode, (q[mode], p[mode], k[mode], l[mode]) if mode in part
+              else (l[mode], k[mode], p[mode], q[mode]))
+             for k, l in pairs for p, q in pairs for mode in range(n)}
+    assert 0 < calls <= len(words) * n_terms ** 2
+
+
 def _first_negative_minor_one_by_one(matrix, max_size):
     """Reference: one principal_minor call per subset, in search order."""
     dim = len(matrix.index_list)

@@ -21,17 +21,40 @@ def test_search_spec_validation():
         SettingsSearchSpec(n_modes=2, restarts=0)
     with pytest.raises(ValueError):
         SettingsSearchSpec(n_modes=2, max_evals=0)
-    with pytest.raises(ValueError):
-        SettingsSearchSpec(n_modes=2, delta_box=(-2.0, 2.0))
     with pytest.raises(ValueError, match="single mode"):
         SettingsSearchSpec(n_modes=1)
-    SettingsSearchSpec(n_modes=1, include_trivial_signs=True)
 
 
 def test_sign_assignments_exclude_trivial():
-    got = list(_sign_assignments(2, include_trivial=False))
+    got = list(_sign_assignments(2))
     assert set(got) == {(1, -1), (-1, 1)}
-    assert len(list(_sign_assignments(3, include_trivial=True))) == 8
+
+
+def test_box_keeps_the_search_defaults():
+    # theta over [0, 2 pi], delta DELTA_MARGIN inside (-pi/2, pi/2)
+    lo, hi = search._box(3)
+    margin = 0.05
+    assert lo.tolist() == [0.0] * 3 + [-math.pi / 2 + margin] * 3
+    assert hi.tolist() == [2.0 * math.pi] * 3 + [math.pi / 2 - margin] * 3
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_simplex_runs_fifty_iterations_per_dimension(dim):
+    # fresh noise on every call never lets the simplex converge, so it makes
+    # one reflection call per iteration up to its cap
+    from cvbell import batched_nelder_mead
+
+    rng = np.random.default_rng(dim)
+    reflections = 0
+
+    def noise(rows, x):
+        nonlocal reflections
+        reflections += isinstance(rows, slice) and x.shape[1] == 1
+        return rng.random(x.shape[:2])
+
+    batched_nelder_mead(noise, rng.random((5, dim)), np.zeros(dim),
+                        np.ones(dim))
+    assert reflections == 50 * dim
 
 
 def test_vacuum_never_violates():
@@ -85,8 +108,8 @@ def test_simplex_stops_once_the_budget_is_spent(monkeypatch):
                                                       seed=0, max_evals=300))
     assert res.budget_exhausted and res.evaluations == 300
     assert math.isfinite(res.report.beta)
-    # without the stop rule the simplex runs on to max_iter, and 600 of its
-    # 601 calls read +inf
+    # without the stop rule the simplex runs on to its 200 iterations, and
+    # 600 of its 601 calls read +inf
     all_inf = [bool(np.isinf(v).all()) for v in calls]
     assert sum(all_inf) <= 1 and all_inf[-1]
 
@@ -217,7 +240,7 @@ def _two_mode_problem(tables: np.ndarray, signs, seed: int):
     """(objective, x0, lo, hi) of best_beta_two_mode_batch's simplex."""
     from cvbell import beta_from_table
 
-    lo, hi = search._box(SettingsSearchSpec(n_modes=2))
+    lo, hi = search._box(2)
 
     def fn(rows, x):
         return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:], signs)
