@@ -54,6 +54,15 @@ _SPEC_FIELDS = {
 }
 
 
+# Counts and indices, read as JSON integers only: int() would truncate 2.9.
+_INTEGER_FIELDS = {"n", "cutoff", "headroom", "seed", "sign"}
+_INTEGER_LIST_FIELDS = {"occupations", "flipped"}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_state_spec(doc: dict):
     """One constructor call per document; unknown fields are rejected."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -65,36 +74,39 @@ def parse_state_spec(doc: dict):
     if extra:
         raise SpecParseError(f"unknown fields for {kind!r} spec: {sorted(extra)}")
     try:
+        for key in doc.keys() & (_INTEGER_FIELDS | _INTEGER_LIST_FIELDS):
+            values = doc[key] if key in _INTEGER_LIST_FIELDS else [doc[key]]
+            if not all(_is_integer(v) for v in values):
+                raise SpecParseError(f"{key!r} must hold JSON integers, "
+                                     f"got {doc[key]!r}")
         if kind == "basis":
-            occ = [int(m) for m in doc["occupations"]]
-            spec = fock.ModeSpec(len(occ), int(doc["cutoff"]))
+            occ = doc["occupations"]
+            spec = fock.ModeSpec(len(occ), doc["cutoff"])
             return fock.make_basis_state(spec, occ)
         if kind == "ghz":
-            spec = fock.ModeSpec(int(doc["n"]), int(doc["cutoff"]))
+            spec = fock.ModeSpec(doc["n"], doc["cutoff"])
             phase = _complex_from_json(doc.get("phase", [1.0, 0.0]))
             return fock.make_ghz_like(spec, phase)
         if kind == "coherent":
             alphas = [_complex_from_json(a) for a in doc["alphas"]]
-            spec = fock.ModeSpec(len(alphas), int(doc["cutoff"]))
-            kwargs = {"headroom": int(doc["headroom"])} if "headroom" in doc else {}
+            spec = fock.ModeSpec(len(alphas), doc["cutoff"])
+            kwargs = {"headroom": doc["headroom"]} if "headroom" in doc else {}
             return fock.make_coherent_product(spec, alphas, **kwargs)
         if kind == "tmsv":
-            spec = fock.ModeSpec(2, int(doc["cutoff"]))
-            kwargs = {"headroom": int(doc["headroom"])} if "headroom" in doc else {}
+            spec = fock.ModeSpec(2, doc["cutoff"])
+            kwargs = {"headroom": doc["headroom"]} if "headroom" in doc else {}
             return fock.make_two_mode_squeezed(spec, float(doc["r"]), **kwargs)
         if kind == "cat":
             if not doc.get("structured", True):
                 raise SpecParseError("cat specs are structured-only")
             return structured.make_cat_family(
-                int(doc["n"]), _complex_from_json(doc["alpha"]), int(doc["sign"]))
+                doc["n"], _complex_from_json(doc["alpha"]), doc["sign"])
         if kind == "fock_pair":
-            return structured.make_fock_pair(int(doc["n"]),
-                                             [int(k) for k in doc["flipped"]])
+            return structured.make_fock_pair(doc["n"], doc["flipped"])
         # random
-        spec = fock.ModeSpec(int(doc["n"]), int(doc["cutoff"]))
+        spec = fock.ModeSpec(doc["n"], doc["cutoff"])
         return fock.random_state(spec, doc.get("kind", "pure"),
-                                 int(doc.get("headroom", 1)),
-                                 int(doc.get("seed", 0)))
+                                 doc.get("headroom", 1), doc.get("seed", 0))
     except KeyError as exc:
         raise SpecParseError(f"missing field {exc.args[0]!r} in {kind!r} spec") from exc
     except (TypeError, ValueError) as exc:

@@ -29,6 +29,8 @@ import numpy as np
 from .errors import BipartitionError, CutoffError, TruncationError
 
 _TRUNCATION_BUDGET = 1e-10
+# Normals per chunk of a mixed random state's Gaussian draw (1 MB of floats).
+_DRAW_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -271,6 +273,19 @@ def _support_mask(spec: ModeSpec, cap: int) -> np.ndarray:
     return (grids.max(axis=0) <= cap)
 
 
+def _gaussian_rows(rng: np.random.Generator, rows: np.ndarray, n_drawn: int,
+                   out: np.ndarray) -> None:
+    """Draw ``rng.standard_normal((n_drawn, width))`` in row chunks of about
+    ``_DRAW_CHUNK`` normals and write its rows ``rows`` (sorted) to ``out``."""
+    width = out.shape[1]
+    step = max(1, _DRAW_CHUNK // width)
+    for start in range(0, n_drawn, step):
+        stop = min(start + step, n_drawn)
+        chunk = rng.standard_normal((stop - start, width))
+        lo, hi = np.searchsorted(rows, (start, stop))
+        out[lo:hi] = chunk[rows[lo:hi] - start]
+
+
 def random_state(spec: ModeSpec, kind: Literal["pure", "mixed"],
                  headroom: int, seed: int) -> DenseState:
     """Seeded Gaussian-random state supported below the headroom cap."""
@@ -285,12 +300,16 @@ def random_state(spec: ModeSpec, kind: Literal["pure", "mixed"],
         arr = arr / np.linalg.norm(arr)
         return DenseState(spec, "pure", arr, headroom=headroom)
     dim = spec.dim
-    # draw the full G, real part first, so seeded samples stay unchanged;
-    # rho = G G^dag is formed on the support rows only
-    re = rng.standard_normal((dim, dim))
-    im = rng.standard_normal((dim, dim))
+    # G = re + i im with re, im each one row-major (dim, dim) standard_normal
+    # draw, real first; rho = G G^dag needs only G's support rows. The real
+    # draw still runs to its end, so that the stream reaches the imaginary
+    # draw at the same point, and the imaginary draw stops after the last
+    # support row, as nothing reads the stream after it. standard_normal
+    # fills row-major from one stream, so row chunks give the same bits.
     rows = np.flatnonzero(mask)
-    g = re[rows] + 1j * im[rows]
+    g = np.empty((rows.size, dim), dtype=complex)
+    _gaussian_rows(rng, rows, dim, g.real)
+    _gaussian_rows(rng, rows, rows[-1] + 1, g.imag)
     block = g @ g.conj().T
     rho = np.zeros((dim, dim), dtype=complex)
     rho[np.ix_(rows, rows)] = block / np.trace(block).real

@@ -130,6 +130,24 @@ def test_eval_unknown_random_kind_exit_code(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "ghz", "n": 2.9, "cutoff": 4.5},
+    {"type": "ghz", "n": 2, "cutoff": 4.0},
+    {"type": "random", "n": 2, "cutoff": 4, "seed": True},
+    {"type": "random", "n": 2, "cutoff": 4, "headroom": True},
+    {"type": "cat", "n": 2, "alpha": [1.0, 0.0], "sign": True},
+    {"type": "basis", "occupations": [1.0, 0], "cutoff": 4},
+    {"type": "tmsv", "r": 0.3, "cutoff": 6, "headroom": 2.5},
+])
+def test_eval_rejects_non_integer_counts(tmp_path, capsys, doc):
+    # int() would truncate these to a valid two-mode spec and exit 0
+    spec = write_spec(tmp_path, doc)
+    code, out = run(capsys, ["eval", spec, "--theta", "0,0",
+                             "--delta", "0,0", "--s", "1,-1"])
+    assert code == 2
+    assert out == ""
+
+
 def _fock_pair_args(tmp_path, flipped, command="eval"):
     # s = +1 on the flipped modes reads the pair's balanced split
     spec = write_spec(tmp_path, {"type": "fock_pair", "n": 10,
@@ -161,7 +179,8 @@ def test_verify_fock_pair_is_consistent(tmp_path, capsys, schema):
     assert doc["pt_min_eig"] is None
 
 
-@pytest.mark.parametrize("flipped", [[], list(range(10)), [0, 10]])
+@pytest.mark.parametrize("flipped", [[], list(range(10)), [0, 10], [0.7, 1],
+                                     [True, 2]])
 def test_fock_pair_needs_a_proper_flipped_subset(tmp_path, capsys, flipped):
     code, out = run(capsys, _fock_pair_args(tmp_path, flipped))
     assert code == 2

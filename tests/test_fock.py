@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,49 @@ def test_random_mixed_state_matches_full_g_formula(n, cutoff, headroom):
         rho = rho / np.trace(rho).real
         got = random_state(spec, "mixed", headroom=headroom, seed=seed).array
         np.testing.assert_allclose(got, rho, rtol=0, atol=1e-14)
+
+
+def _parent_random_state(spec, kind, headroom, seed):
+    """random_state's recipe with every Gaussian draw taken in full."""
+    rng = np.random.default_rng(seed)
+    mask = np.indices(spec.shape).max(axis=0) <= spec.cutoff - 1 - headroom
+    if kind == "pure":
+        arr = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        arr = arr * mask
+        return arr / np.linalg.norm(arr)
+    dim = spec.dim
+    re = rng.standard_normal((dim, dim))
+    im = rng.standard_normal((dim, dim))
+    rows = np.flatnonzero(mask)
+    g = re[rows] + 1j * im[rows]
+    block = g @ g.conj().T
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(rows, rows)] = block / np.trace(block).real
+    return rho
+
+
+@pytest.mark.parametrize("n, cutoff, headroom",
+                         [(4, 6, 3), (3, 6, 0), (2, 6, 3), (1, 5, 2)])
+def test_random_state_bits_match_full_draws(n, cutoff, headroom):
+    """Drawing only the rows rho reads leaves every bit of both kinds."""
+    spec = ModeSpec(n, cutoff)
+    for seed in (0, 1, 7, 20260823):
+        for kind in ("mixed", "pure"):
+            got = random_state(spec, kind, headroom=headroom, seed=seed).array
+            assert np.array_equal(
+                got, _parent_random_state(spec, kind, headroom, seed)), (kind, seed)
+
+
+def test_random_mixed_state_holds_no_full_draw():
+    """Peak memory stays near rho itself: no dim x dim float draw is kept."""
+    spec = ModeSpec(4, 6)
+    tracemalloc.start()
+    try:
+        rho = random_state(spec, "mixed", headroom=3, seed=5).array
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.nbytes + 4 * 2**20, (peak, rho.nbytes)
 
 
 def _pt_cases():
