@@ -137,10 +137,10 @@ def test_eval_unknown_random_kind_exit_code(tmp_path, capsys):
     {"type": "random", "n": 2, "cutoff": 4, "headroom": True},
     {"type": "cat", "n": 2, "alpha": [1.0, 0.0], "sign": True},
     {"type": "basis", "occupations": [1.0, 0], "cutoff": 4},
-    {"type": "tmsv", "r": 0.3, "cutoff": 6, "headroom": 2.5},
+    {"type": "tmsv", "r": 0.1, "cutoff": 8, "headroom": 2.5},
 ])
 def test_eval_rejects_non_integer_counts(tmp_path, capsys, doc):
-    # int() would truncate these to a valid two-mode spec and exit 0
+    # int() would truncate each of these to a valid spec and exit 0
     spec = write_spec(tmp_path, doc)
     code, out = run(capsys, ["eval", spec, "--theta", "0,0",
                              "--delta", "0,0", "--s", "1,-1"])

@@ -330,7 +330,7 @@ def test_random_mixed_state_matches_full_g_formula(n, cutoff, headroom):
         np.testing.assert_allclose(got, rho, rtol=0, atol=1e-14)
 
 
-def _parent_random_state(spec, kind, headroom, seed):
+def _full_draw_random_state(spec, kind, headroom, seed):
     """random_state's recipe with every Gaussian draw taken in full."""
     rng = np.random.default_rng(seed)
     mask = np.indices(spec.shape).max(axis=0) <= spec.cutoff - 1 - headroom
@@ -358,7 +358,7 @@ def test_random_state_bits_match_full_draws(n, cutoff, headroom):
         for kind in ("mixed", "pure"):
             got = random_state(spec, kind, headroom=headroom, seed=seed).array
             assert np.array_equal(
-                got, _parent_random_state(spec, kind, headroom, seed)), (kind, seed)
+                got, _full_draw_random_state(spec, kind, headroom, seed)), (kind, seed)
 
 
 def test_random_mixed_state_holds_no_full_draw():
