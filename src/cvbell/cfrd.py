@@ -20,9 +20,6 @@ negative, where the transposed set I collects the modes with s_k = -1.
 
 from __future__ import annotations
 
-import cmath
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalConsistencyError, SettingsError
-from .fock import DenseState, product_operator_expectation  # noqa: F401  (kept importable from cfrd)
-from .moments import poly_expectations
+from .fock import DenseState, monomial_matrix, partial_transpose_min_eig
+from .fock import product_operator_expectation  # noqa: F401  (kept importable from cfrd)
 from .structured import NormalOrderedPoly, StructuredState, term_pair_elements
 
 VIOLATION_THRESHOLD = 1e-9
@@ -75,19 +72,12 @@ class QuadratureSettings:
         return len(self.bipartition) in (0, self.n_modes)
 
 
-def _uv(theta: float, delta: float) -> tuple[complex, complex]:
-    root = 2.0 * math.sqrt(math.cos(delta))
-    u = (1.0 + cmath.exp(-1j * delta)) / root
-    v = cmath.exp(2j * theta) * (1.0 - cmath.exp(1j * delta)) / root
-    return u, v
-
-
 def mode_transform(settings: QuadratureSettings,
                    ) -> tuple[tuple[complex, complex], ...]:
     """Coefficients (u, v) of b = u a + v a^dag for each mode (independent of
     s); |u|^2 - |v|^2 = 1 holds by construction."""
-    return tuple(_uv(theta, delta)
-                 for theta, delta in zip(settings.thetas, settings.deltas))
+    u, v, _, _ = _bogoliubov(np.array(settings.thetas), np.array(settings.deltas))
+    return tuple(zip(u.tolist(), v.tolist()))
 
 
 @dataclass
@@ -106,46 +96,18 @@ class CfrdReport:
     settings: QuadratureSettings
 
 
-def _quadrature_polys(theta: float, delta: float, s: int,
-                      ) -> tuple[NormalOrderedPoly, NormalOrderedPoly]:
-    """The two quadratures X and Y as normal-ordered polynomials."""
-    phi = theta + delta + s * math.pi / 2
-    return tuple(NormalOrderedPoly({(0, 1): cmath.exp(-1j * angle),
-                                    (1, 0): cmath.exp(1j * angle)})
-                 for angle in (theta, phi))
-
-
 def quadrature_matrices(d: int, theta: float, delta: float, s: int,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated d x d matrices of the two quadratures X and Y."""
-    x, y = _quadrature_polys(theta, delta, s)
-    return x.to_matrix(d), y.to_matrix(d)
+    lower = monomial_matrix(d, 0, 1)
+    return tuple(np.exp(-1j * angle) * lower + np.exp(1j * angle) * lower.T
+                 for angle in (theta, theta + delta + s * math.pi / 2))
 
 
 def _real_part(value: complex, what: str, tol: float = 1e-8) -> float:
     if abs(value.imag) > tol * max(1.0, abs(value)):
         raise NumericalConsistencyError(f"{what} = {value} has non-real residue")
     return value.real
-
-
-def _mode_polys(theta: float, delta: float) -> tuple[NormalOrderedPoly, ...]:
-    """(b, b^dag, N_b, cos_delta*N_b + 1/2) for one mode's angles."""
-    u, v = _uv(theta, delta)
-    c = math.cos(delta)
-    ubar, vbar = u.conjugate(), v.conjugate()
-    # N_b = b^dag b = (|u|^2 + |v|^2) N + u* v a^dag^2 + u v* a^2 + |v|^2,
-    # summed in the order of the product b^dag * b, so values keep its bits
-    n_b = {(1, 1): ubar * u + vbar * v, (2, 0): ubar * v, (0, 2): vbar * u,
-           (0, 0): vbar * v}
-    rhs = {key: c * value for key, value in n_b.items()}
-    rhs[(0, 0)] += 0.5
-    b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
-    return b, b.dagger(), NormalOrderedPoly(n_b), NormalOrderedPoly(rhs)
-
-
-def _b_pick(polys, signs: Sequence[int]) -> dict[int, NormalOrderedPoly]:
-    """prod_k B_k(s_k): b_k where s_k = +1, b_k^dag where s_k = -1."""
-    return {k: polys[k][0] if s == 1 else polys[k][1] for k, s in enumerate(signs)}
 
 
 def cfrd_evaluate(state, settings: QuadratureSettings,
@@ -161,57 +123,56 @@ def cfrd_evaluate(state, settings: QuadratureSettings,
 
 def cfrd_evaluate_many(state, settings_seq: Sequence[QuadratureSettings],
                        expand_s_squared: bool = True) -> list[CfrdReport]:
-    """``cfrd_evaluate`` for each settings, in one moment call.
+    """``cfrd_evaluate`` for each settings, from one ``moment_table``.
 
-    Per-mode polynomials are built once for each distinct (theta, delta), so
-    settings that share angles share their moments' single-mode work.
+    <prod B> in both orders are points of one forward contraction. In the
+    rhs contraction, whose coefficient rows are made chunk by chunk, point j
+    of a settings is its rhs product at j = 0, else the moment of N_b on the
+    modes of S_{j-1} times 1/(2 cos delta) on the others; mode k lies in S_i
+    unless bit k of i is set. S_0 holds every mode, so j = 1 is <prod N_b>;
+    with ``expand_s_squared`` the points j >= 2 follow and sum to S^2.
     """
     n = state.n_modes
-    mode_polys = functools.cache(_mode_polys)  # lives for this call only
-    subsets = []
-    if expand_s_squared:
-        subsets = [subset for size in range(n)
-                   for subset in itertools.combinations(range(n), size)]
-    picks = []
-    for settings in settings_seq:
-        if settings.n_modes != n:
-            raise SettingsError("settings length does not match state mode count")
-        polys = [mode_polys(theta, delta)
-                 for theta, delta in zip(settings.thetas, settings.deltas)]
-        picks += [_b_pick(polys, settings.signs),
-                  _b_pick(polys, [-s for s in settings.signs]),
-                  {k: p[2] for k, p in enumerate(polys)},
-                  {k: p[3] for k, p in enumerate(polys)}]
-        picks += [{k: polys[k][2] for k in subset} for subset in subsets]
-    values = poly_expectations(state, picks)
-    width = 4 + len(subsets)
-    return [_report(settings, subsets, values[k * width:(k + 1) * width])
-            for k, settings in enumerate(settings_seq)]
+    if any(settings.n_modes != n for settings in settings_seq):
+        raise SettingsError("settings length does not match state mode count")
+    if not settings_seq:
+        return []
+    table = moment_table(state)
+    u, v, w, cosd = _bogoliubov(np.array([s.thetas for s in settings_seq]),
+                                np.array([s.deltas for s in settings_seq]))
+    plus = np.array([s.signs for s in settings_seq]) == 1
+    fwd = _forward_coeffs(u, v, plus)  # B(-s) = B(s)^dag: swapped, conjugated
+    means = _contract_rows(table, table.forward, np.stack(
+        (fwd, fwd[..., ::-1].conj()), axis=1).reshape(-1, n, 2)).reshape(-1, 2)
+    rhs_rows = _rhs_coeffs(w, cosd)
+    n_b = np.stack((v.conj() * v, u.conj() * u + v.conj() * v, u * v.conj(),
+                    u.conj() * v), axis=-1)
+    outside = np.stack([0.5 / cosd] + [np.zeros_like(cosd)] * 3, axis=-1)
+    width = 1 + (2 ** n if expand_s_squared else 1)
+
+    def rhs_points(part):
+        i, j = np.divmod(np.arange(part.start, part.stop), width)
+        inside = (((j[:, None] - 1) >> np.arange(n)) & 1) == 0
+        rows = np.where(inside[..., None], n_b[i], outside[i])
+        rows[j == 0] = rhs_rows[i[j == 0]]
+        return _contract(table, table.rhs, rows)
+
+    values = _chunked(table, len(settings_seq) * width, rhs_points).reshape(-1, width)
+    return [_report(*args) for args in zip(settings_seq, cosd.prod(axis=-1),
+                                           means, values)]
 
 
-def _report(settings: QuadratureSettings, subsets, values) -> CfrdReport:
-    """One settings' report from its picks' values, in ``cfrd_evaluate_many`` order."""
-    n = settings.n_modes
-    cos_all = [math.cos(d) for d in settings.deltas]
-    cos_prod = math.prod(cos_all)
-    mean_fwd, mean_rev, prod_n, rhs, *terms = values
-
+def _report(settings: QuadratureSettings, cos_prod, means, values) -> CfrdReport:
+    """One settings' report from its forward and rhs points."""
+    mean_fwd, mean_rev = complex(means[0]), complex(means[1])
     lhs = abs(mean_fwd) ** 2
-    prod_n = _real_part(prod_n, "<prod N>")
-    rhs = _real_part(rhs, "rhs product") / cos_prod
+    prod_n = _real_part(complex(values[1]), "<prod N>")
+    rhs = _real_part(complex(values[0]), "rhs product") / float(cos_prod)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericalConsistencyError(
             f"functional not finite: lhs = {lhs}, rhs = {rhs}")
-
-    if subsets:
-        s_squared = 0.0
-        for subset, term in zip(subsets, terms):
-            weight = (0.5 ** (n - len(subset))
-                      * math.prod(cos_all[k] for k in subset) / cos_prod)
-            s_squared += weight * _real_part(term, "S^2 term")
-    else:
-        s_squared = rhs - prod_n
-
+    s_squared = (_real_part(complex(values[2:].sum()), "S^2") if len(values) > 2
+                 else rhs - prod_n)
     minor_d = prod_n - _real_part(mean_fwd * mean_rev, "minor cross term")
     beta = lhs - rhs
     return CfrdReport(
@@ -231,74 +192,72 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# moment tables: beta at many settings from one table per state
-#
-# Every moment entering beta is a multilinear combination of the moments
-# <prod_k O_k> with each O_k drawn from the six monomials
-# {1, a, a^dag, N, a^2, a^dag^2}. Precomputing them once per state turns each
-# beta evaluation into a per-mode contraction over the few entries that can
-# be nonzero, which is what makes large searches affordable on one core.
-# With c = cos(delta):
-#   - B(+1) = b has coefficients (u, v) on (a, a^dag), and B(-1) = b^dag has
-#     (v*, u*), so <prod B> reads only the {a, a^dag} block;
-#   - c N_b + 1/2 has coefficients (1 - c/2, 1, w, w*) on (1, N, a^2, a^dag^2)
-#     with w = c u v* = e^{-2i theta} (1 - e^{-2i delta}) / 4, using
-#     c |v|^2 + 1/2 = 1 - c/2 and c (|u|^2 + |v|^2) = 1, so the rhs product
-#     reads only the {1, N, a^2, a^dag^2} block.
+# moment tables: every moment above is a per-mode contraction of the moments
+# <prod_k O_k>, each O_k one of the six monomials {1, a, a^dag, N, a^2,
+# a^dag^2}, which one table per state holds. With c = cos(delta):
+#   - B(+1) = b is (u, v) on (a, a^dag), and B(-1) = b^dag is (v*, u*);
+#   - N_b is (|v|^2, |u|^2 + |v|^2, u v*, u* v) on (1, N, a^2, a^dag^2), and
+#     c N_b + 1/2 is (1 - c/2, 1, w, w*) with w = c u v*, as
+#     c |v|^2 + 1/2 = 1 - c/2 and c (|u|^2 + |v|^2) = 1.
 
-_TABLE_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
+# the monomials a, a^dag, 1, N, a^2, a^dag^2 as (q, p) of a^dag^q a^p, so
+# that each block is a slice; two_mode_moment_table reorders its axes
+_TABLE_EXPONENTS = ((0, 1), (1, 0), (0, 0), (1, 1), (0, 2), (2, 0))
 _MONOMIALS = tuple(NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS)
-_FORWARD = [1, 2]      # a, a^dag
-_RHS = [0, 3, 4, 5]    # 1, N, a^2, a^dag^2
+_FORWARD, _RHS = slice(0, 2), slice(2, 6)
 # entries of the largest contraction intermediate per chunk of points;
-# bounds memory when a simplex asks for many points at once
-_CONTRACT_BATCH_ENTRIES = 1 << 16
-
-
-def _monomial_tensor(state) -> np.ndarray:
-    """The 6^n tensor of <prod_k monomial_{m_k}>, monomials in table order."""
-    # index 0 is the identity, which a pick leaves out
-    picks = [{mode: _MONOMIALS[i] for mode, i in enumerate(combo) if i}
-             for combo in itertools.product(range(6), repeat=state.n_modes)]
-    return np.array(poly_expectations(state, picks)).reshape((6,) * state.n_modes)
-
-
-def two_mode_moment_table(state) -> np.ndarray:
-    """6x6 table of pair moments feeding ``beta_from_table``.
-
-    Ordering: (identity, a, a^dag, a^dag a, a^2, a^dag^2) on each mode.
-    """
-    if state.n_modes != 2:
-        raise SettingsError("moment table requires exactly two modes")
-    return _monomial_tensor(state)
+# bounds memory when a simplex or the S^2 expansion asks for many points
+_CONTRACT_BATCH_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """The moments beta reads, for one state: ``forward`` on the {a, a^dag}
-    monomials and ``rhs`` on the {1, N, a^2, a^dag^2} monomials of each mode.
+    """One state's moments on the six monomials (``full``) and two blocks of
+    them: ``forward`` on {a, a^dag} and ``rhs`` on {1, N, a^2, a^dag^2}.
 
-    A structured state keeps them factored over its T^2 term pairs:
-    ``weights`` has shape (T^2,) and each block (T^2, n, m), and a moment is
-    sum over pairs of weight * prod_k block[pair, k, m_k]. A dense state keeps
-    each block of the 6^n tensor as a tensor (m,)*n, and ``weights`` is None.
+    A structured state keeps each block factored over its T^2 term pairs,
+    shape (T^2, n, m), with ``weights`` (T^2,): a moment is the sum over
+    pairs of weight * prod_k block[pair, k, m_k]. A dense state keeps each
+    block as a tensor (m,)*n, and ``weights`` is None.
     """
 
     weights: np.ndarray | None
+    full: np.ndarray
     forward: np.ndarray
     rhs: np.ndarray
+
+
+def _dense_moments(state: DenseState) -> np.ndarray:
+    """The 6^n tensor of <prod_k monomial_{m_k}> on the support lattice, one
+    product with the monomial matrices per mode. A pure state contracts mode
+    0 against ket and bra at once, so it never forms its density matrix."""
+    sup = state.support
+    n, s = sup.n_modes, sup.cutoff
+    mats = np.stack([monomial_matrix(s, q, p) for q, p in _TABLE_EXPONENTS])
+    if sup.kind == "pure":  # acc[m, ket, bra] over modes 1..n-1
+        psi = sup.array.reshape(s, -1)
+        acc = np.swapaxes(mats @ psi, 1, 2) @ psi.conj()
+    else:
+        acc = sup.array[None]
+    flat = mats.transpose(2, 1, 0).reshape(s * s, 6)  # [(ket, bra), m]
+    while acc.shape[-1] > 1:
+        rest = acc.shape[-1] // s
+        acc = acc.reshape(-1, s, rest, s, rest).transpose(0, 2, 4, 1, 3)
+        acc = (acc.reshape(-1, s * s) @ flat).reshape(-1, rest, rest, 6)
+        acc = acc.transpose(0, 3, 1, 2).reshape(-1, rest, rest)
+    return acc.reshape((6,) * n)
 
 
 def moment_table(state) -> MomentTable:
     """One state's ``MomentTable``: term-pair factors of a structured state
     (6 n T^2 single-mode elements), the 6^n tensor of any other state."""
     if isinstance(state, StructuredState):
-        weights, elements = term_pair_elements(state, _MONOMIALS)
-        return MomentTable(weights, elements[..., _FORWARD], elements[..., _RHS])
-    tensor = _monomial_tensor(state)
-    n = state.n_modes
-    return MomentTable(None, tensor[np.ix_(*[_FORWARD] * n)],
-                       tensor[np.ix_(*[_RHS] * n)])
+        weights, full = term_pair_elements(state, _MONOMIALS)
+        blocks = [full[..., part].copy() for part in (_FORWARD, _RHS)]
+    else:
+        weights, full = None, _dense_moments(state)
+        blocks = [full[(part,) * state.n_modes].copy() for part in (_FORWARD, _RHS)]
+    return MomentTable(weights, full, *blocks)
 
 
 def _bogoliubov(thetas: np.ndarray, deltas: np.ndarray):
@@ -314,6 +273,17 @@ def _bogoliubov(thetas: np.ndarray, deltas: np.ndarray):
     return u, v, w, cosd
 
 
+def _forward_coeffs(u, v, plus) -> np.ndarray:
+    """B(s) on (a, a^dag) per point and mode: b where ``plus``, else b^dag."""
+    return np.stack((np.where(plus, u, v.conj()), np.where(plus, v, u.conj())),
+                    axis=-1)
+
+
+def _rhs_coeffs(w, cosd) -> np.ndarray:
+    """c N_b + 1/2 on (1, N, a^2, a^dag^2) per point and mode."""
+    return np.stack((1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1)
+
+
 def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
               ) -> np.ndarray:
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
@@ -326,6 +296,29 @@ def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
     for k in range(n):
         acc = (coeffs[:, k, :, None] * acc.reshape(len(acc), m, -1)).sum(axis=1)
     return acc[:, 0]
+
+
+def _chunked(table: MomentTable, count: int, values_of, dtype=complex,
+             ) -> np.ndarray:
+    """``values_of(part)`` over the points ``range(count)``, in slices
+    ``part`` small enough that a contraction intermediate of ``table`` holds
+    about ``_CONTRACT_BATCH_ENTRIES`` entries. An overflow, or a result that
+    is not a number, raises NumericalConsistencyError at once."""
+    out = np.empty(count, dtype)
+    step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for lo in range(0, count, step):
+                out[lo:lo + step] = values_of(slice(lo, min(lo + step, count)))
+        except FloatingPointError as exc:
+            raise NumericalConsistencyError(f"moment contraction: {exc}") from None
+    return out
+
+
+def _contract_rows(table: MomentTable, block: np.ndarray, rows: np.ndarray,
+                   ) -> np.ndarray:
+    """``_contract`` of every coefficient row of ``rows``, in chunks."""
+    return _chunked(table, len(rows), lambda part: _contract(table, block, rows[part]))
 
 
 def beta_from_moments(table: MomentTable, thetas: np.ndarray,
@@ -343,18 +336,25 @@ def beta_from_moments(table: MomentTable, thetas: np.ndarray,
     shape = thetas.shape[:-1]
     n = thetas.shape[-1]
     thetas, deltas, plus = (a.reshape(-1, n) for a in (thetas, deltas, signs == 1))
-    out = np.empty(len(thetas))
-    step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
-    for lo in range(0, len(out), step):
-        part = slice(lo, lo + step)
+
+    def betas(part):
         u, v, w, cosd = _bogoliubov(thetas[part], deltas[part])
-        fwd = _contract(table, table.forward, np.stack(
-            (np.where(plus[part], u, v.conj()), np.where(plus[part], v, u.conj())),
-            axis=-1))
-        rhs = _contract(table, table.rhs, np.stack(
-            (1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1))
-        out[part] = np.abs(fwd) ** 2 - rhs.real / cosd.prod(axis=-1)
-    return out.reshape(shape)
+        fwd = _contract(table, table.forward, _forward_coeffs(u, v, plus[part]))
+        rhs = _contract(table, table.rhs, _rhs_coeffs(w, cosd))
+        return np.abs(fwd) ** 2 - rhs.real / cosd.prod(axis=-1)
+
+    return _chunked(table, len(thetas), betas, float).reshape(shape)
+
+
+def two_mode_moment_table(state) -> np.ndarray:
+    """6x6 table of pair moments feeding ``beta_from_table``, in the order
+    (identity, a, a^dag, a^dag a, a^2, a^dag^2) on each mode."""
+    if state.n_modes != 2:
+        raise SettingsError("moment table requires exactly two modes")
+    table = moment_table(state)
+    # one point per entry, with the unit coefficient rows of its monomials
+    return _contract_rows(table, table.full, np.eye(6)[[2, 0, 1, 3, 4, 5]][
+        np.indices((6, 6)).reshape(2, -1).T]).reshape(6, 6)
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
@@ -411,16 +411,21 @@ def two_mode_bound(state, settings: QuadratureSettings) -> TwoModeBound:
     """
     if settings.n_modes != 2 or state.n_modes != 2:
         raise SettingsError("two_mode_bound requires exactly two modes")
-    (x0, y0), (x1, y1) = [_quadrature_polys(t, de, s) for t, de, s in zip(
-        settings.thetas, settings.deltas, settings.signs)]
-    means = poly_expectations(state, [{0: x0, 1: x1}, {0: y0, 1: y1},
-                                      {0: x0, 1: y1}, {0: y0, 1: x1},
-                                      {0: x0 * x0 + y0 * y0, 1: x1 * x1 + y1 * y1}])
-    xx, yy, xy, yx, prod_sq = [_real_part(m, "two-mode quadrature moment")
-                               for m in means]
-    x_tilde = xx - yy
-    y_tilde = xy + yx
-    beta2 = x_tilde ** 2 + y_tilde ** 2 - prod_sq
+    table = moment_table(state)
+    theta = np.array(settings.thetas)
+    phi = theta + np.array(settings.deltas) + np.array(settings.signs) * (math.pi / 2)
+    # X and Y of each mode on (a, a^dag); X^2 + Y^2 = 2 + 4 N + (e^{-2i theta}
+    # + e^{-2i phi}) a^2 + h.c. on (1, N, a^2, a^dag^2)
+    x, y = (np.stack((np.exp(-1j * angle), np.exp(1j * angle)), axis=-1)
+            for angle in (theta, phi))
+    squared = np.exp(-2j * theta) + np.exp(-2j * phi)
+    means = _contract_rows(table, table.forward, np.array(
+        [(x[0], x[1]), (y[0], y[1]), (x[0], y[1]), (y[0], x[1])]))
+    squares = _contract_rows(table, table.rhs, np.stack(
+        (np.full(2, 2.0), np.full(2, 4.0), squared, squared.conj()), axis=-1)[None])
+    xx, yy, xy, yx, prod_sq = [_real_part(complex(m), "two-mode quadrature moment")
+                               for m in (*means, *squares)]
+    beta2 = (xx - yy) ** 2 + (xy + yx) ** 2 - prod_sq
     bound = (4.0 * settings.signs[0] * settings.signs[1]
              * math.cos(settings.deltas[0]) * math.cos(settings.deltas[1]))
     return TwoModeBound(beta2=beta2, bound=bound)
@@ -435,8 +440,6 @@ class VerificationResult:
 
 def verify_implication(state, settings: QuadratureSettings) -> VerificationResult:
     """Executable form of the theorem: violation implies D^I < 0 and NPT."""
-    from .fock import partial_transpose_min_eig
-
     report = cfrd_evaluate(state, settings)
     pt_min = None
     if isinstance(state, DenseState) and not report.trivial_bipartition:

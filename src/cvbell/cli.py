@@ -34,8 +34,9 @@ class SpecParseError(ValueError):
 
 
 def _complex_from_json(value) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise SpecParseError(f"expected [re, im] pair, got {value!r}")
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_number, value))):
+        raise SpecParseError(f"expected [re, im] pair of numbers, got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -59,8 +60,9 @@ _INTEGER_FIELDS = {"n", "cutoff", "headroom", "seed", "sign"}
 _INTEGER_LIST_FIELDS = {"occupations", "flipped"}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value, types=(int, float)) -> bool:
+    """A finite JSON number of ``types``; float() would also take "0.3", true, NaN."""
+    return type(value) in types and abs(value) < math.inf
 
 
 def parse_state_spec(doc: dict):
@@ -76,7 +78,7 @@ def parse_state_spec(doc: dict):
     try:
         for key in doc.keys() & (_INTEGER_FIELDS | _INTEGER_LIST_FIELDS):
             values = doc[key] if key in _INTEGER_LIST_FIELDS else [doc[key]]
-            if not all(_is_integer(v) for v in values):
+            if not all(_is_number(v, (int,)) for v in values):
                 raise SpecParseError(f"{key!r} must hold JSON integers, "
                                      f"got {doc[key]!r}")
         if kind == "basis":
@@ -95,6 +97,8 @@ def parse_state_spec(doc: dict):
         if kind == "tmsv":
             spec = fock.ModeSpec(2, doc["cutoff"])
             kwargs = {"headroom": doc["headroom"]} if "headroom" in doc else {}
+            if not _is_number(doc["r"]):
+                raise SpecParseError(f"'r' must be a JSON number, got {doc['r']!r}")
             return fock.make_two_mode_squeezed(spec, float(doc["r"]), **kwargs)
         if kind == "cat":
             if not doc.get("structured", True):

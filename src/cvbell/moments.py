@@ -74,11 +74,11 @@ def poly_expectations(state, picks: Sequence[dict[int, NormalOrderedPoly]],
     """Expectations of products of per-mode normal-ordered polynomials.
 
     Each pick maps mode -> polynomial; modes absent from a pick carry the
-    identity. This is the one moment primitive both state representations
-    implement. A dense state is evaluated on its support lattice, where each
-    distinct polynomial is lowered once per call; the result is exact at any
-    headroom, because ``to_matrix`` holds the exact matrix elements below the
-    cutoff and modes combine by tensor product.
+    identity. Every matrix of moments reads its entries here, on a path
+    independent of ``cfrd.moment_table``. A dense state is evaluated on its
+    support lattice, where each distinct polynomial is lowered once per call;
+    the result is exact at any headroom, because ``to_matrix`` holds the exact
+    matrix elements below the cutoff and modes combine by tensor product.
     """
     if isinstance(state, StructuredState):
         return structured_poly_expectation(state, picks)

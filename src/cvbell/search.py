@@ -16,7 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .cfrd import (CfrdReport, QuadratureSettings, beta_from_moments,
-                   cfrd_evaluate, cfrd_evaluate_many, moment_table)
+                   beta_from_table, cfrd_evaluate, cfrd_evaluate_many,
+                   moment_table)
+from .structured import make_cat_family
 
 DELTA_MARGIN = 0.05
 SIMPLEX_FATOL = 1e-10
@@ -199,8 +201,6 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     only ``n_modes``, ``restarts`` and ``seed`` of ``spec``; ``max_evals``
     is not applied.
     """
-    from .cfrd import beta_from_table
-
     if spec.n_modes != 2:
         raise ValueError("batch sweep is specific to two modes")
     batch = tables.shape[0]
@@ -258,8 +258,6 @@ SCAN_TIE_TOLERANCE = 1e-12
 def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
                     sign: int, exhaustive_signs: bool = False) -> list[ScanRow]:
     """Best lhs/rhs ratio over the alpha grid for each mode count (delta=0)."""
-    from .structured import make_cat_family
-
     rows = []
     for n in n_range:
         best: ScanRow | None = None

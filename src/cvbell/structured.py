@@ -51,12 +51,6 @@ class NormalOrderedPoly:
             return cls({(power, 0): 1.0})
         raise ValueError(f"unknown ladder op {op!r}")
 
-    def __add__(self, other: "NormalOrderedPoly") -> "NormalOrderedPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return NormalOrderedPoly(out)
-
     def __mul__(self, other: "NormalOrderedPoly") -> "NormalOrderedPoly":
         """Operator product, re-expanded into normal order (exact)."""
         out: dict[tuple[int, int], complex] = {}

@@ -1,6 +1,11 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
+
+from cvbell import CfrdReport, NormalOrderedPoly, TwoModeBound
+from cvbell.moments import poly_expectations
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -136,3 +141,92 @@ def eager_nelder_mead(fn, x0, lo, hi):
     best = np.argmin(f, axis=1)
     idx = np.arange(batch)
     return x[idx, best, :], f[idx, best]
+
+
+# ---------------------------------------------------------------------------
+# per-pick reference for cfrd: every moment one poly_expectations pick
+
+
+def _reference_mode_polys(theta, delta):
+    """(b, b^dag, N_b, cos_delta*N_b + 1/2) as polynomials for one mode."""
+    c = math.cos(delta)
+    root = 2.0 * math.sqrt(c)
+    u = (1.0 + cmath.exp(-1j * delta)) / root
+    v = cmath.exp(2j * theta) * (1.0 - cmath.exp(1j * delta)) / root
+    ubar, vbar = u.conjugate(), v.conjugate()
+    n_b = {(1, 1): ubar * u + vbar * v, (2, 0): ubar * v, (0, 2): vbar * u,
+           (0, 0): vbar * v}
+    rhs = {key: c * value for key, value in n_b.items()}
+    rhs[(0, 0)] += 0.5
+    b = NormalOrderedPoly({(0, 1): u, (1, 0): v})
+    return b, b.dagger(), NormalOrderedPoly(n_b), NormalOrderedPoly(rhs)
+
+
+def reference_cfrd_evaluate(state, settings, expand_s_squared=True):
+    """``cfrd_evaluate`` by the per-pick recipe that predates
+    ``cfrd.moment_table``: <prod B> in both orders, <prod N_b>, the rhs
+    product and each S^2 term are separate picks of normal-ordered
+    polynomials, and S^2 is summed with its weights over the subsets of
+    sizes 0..n-1."""
+    n = settings.n_modes
+    polys = [_reference_mode_polys(t, d)
+             for t, d in zip(settings.thetas, settings.deltas)]
+
+    def b_pick(signs):
+        return {k: polys[k][0 if s == 1 else 1] for k, s in enumerate(signs)}
+
+    sizes = range(n) if expand_s_squared else []
+    subsets = [sub for size in sizes for sub in itertools.combinations(range(n), size)]
+    picks = [b_pick(settings.signs), b_pick([-s for s in settings.signs]),
+             {k: p[2] for k, p in enumerate(polys)},
+             {k: p[3] for k, p in enumerate(polys)}]
+    picks += [{k: polys[k][2] for k in sub} for sub in subsets]
+    mean_fwd, mean_rev, prod_n, rhs, *terms = poly_expectations(state, picks)
+    cos_all = [math.cos(d) for d in settings.deltas]
+    cos_prod = math.prod(cos_all)
+    lhs, rhs, prod_n = abs(mean_fwd) ** 2, rhs.real / cos_prod, prod_n.real
+    if subsets:
+        s_squared = sum(0.5 ** (n - len(sub)) * math.prod(cos_all[k] for k in sub)
+                        / cos_prod * term.real for sub, term in zip(subsets, terms))
+    else:
+        s_squared = rhs - prod_n
+    beta = lhs - rhs
+    return CfrdReport(
+        lhs=lhs, rhs=rhs, s_squared=s_squared, product_number_moment=prod_n,
+        minor_d=prod_n - (mean_fwd * mean_rev).real,
+        bipartition=settings.bipartition, beta=beta, violated=beta > 1e-9,
+        trivial_bipartition=settings.trivial_bipartition,
+        mean_forward=mean_fwd, mean_reverse=mean_rev, settings=settings)
+
+
+def reference_two_mode_bound(state, settings):
+    """``two_mode_bound`` from five picks of the quadrature polynomials."""
+    (x0, y0), (x1, y1) = [
+        [NormalOrderedPoly({(0, 1): cmath.exp(-1j * angle),
+                            (1, 0): cmath.exp(1j * angle)})
+         for angle in (t, t + d + s * math.pi / 2)]
+        for t, d, s in zip(settings.thetas, settings.deltas, settings.signs)]
+
+    def square_sum(x, y):
+        xx, yy = (x * x).terms, (y * y).terms
+        return NormalOrderedPoly({key: xx.get(key, 0) + yy.get(key, 0)
+                                  for key in xx.keys() | yy.keys()})
+
+    xx, yy, xy, yx, prod_sq = [m.real for m in poly_expectations(state, [
+        {0: x0, 1: x1}, {0: y0, 1: y1}, {0: x0, 1: y1}, {0: y0, 1: x1},
+        {0: square_sum(x0, y0), 1: square_sum(x1, y1)}])]
+    bound = (4.0 * settings.signs[0] * settings.signs[1]
+             * math.cos(settings.deltas[0]) * math.cos(settings.deltas[1]))
+    return TwoModeBound(beta2=(xx - yy) ** 2 + (xy + yx) ** 2 - prod_sq,
+                        bound=bound)
+
+
+REFERENCE_MONOMIALS = [NormalOrderedPoly({qp: 1.0}) for qp in
+                       ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))]
+
+
+def reference_two_mode_moment_table(state):
+    """``two_mode_moment_table`` as 36 picks of single monomials."""
+    picks = [{0: REFERENCE_MONOMIALS[i], 1: REFERENCE_MONOMIALS[j]}
+             for i in range(6) for j in range(6)]
+    return np.array(poly_expectations(state, picks)).reshape(6, 6)

@@ -1,10 +1,14 @@
 """Bell functional: transforms, evaluation, decomposition, two-mode bound."""
 
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import (reference_cfrd_evaluate, reference_two_mode_bound,
+                      reference_two_mode_moment_table)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -530,3 +534,80 @@ def test_moment_table_chunks_change_no_bits(state):
     alone = [beta_from_moments(table, t, d, s)
              for t, d, s in zip(thetas, deltas, signs)]
     assert np.array_equal(batch, alone)
+
+
+def _reference_settings(n):
+    """A random nontrivial settings and the balanced split at theta = delta = 0."""
+    rng = np.random.default_rng(100 + n)
+    signs = [1] * (n // 2) + [-1] * (n - n // 2)
+    return [_settings(rng.uniform(0, 2 * math.pi, n),
+                      rng.uniform(-DELTA_EDGE, DELTA_EDGE, n), rng.permutation(signs)),
+            _settings([0.0] * n, [0.0] * n, signs)]
+
+
+def _assert_report_matches(got, want):
+    # every field, each real one within 1e-12 of the functional's scale
+    scale = max(abs(want.lhs), abs(want.rhs))
+    approx = {"lhs": scale, "rhs": scale, "s_squared": scale,
+              "product_number_moment": scale, "minor_d": scale, "beta": scale,
+              "mean_forward": math.sqrt(scale), "mean_reverse": math.sqrt(scale)}
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in approx:
+            assert abs(a - b) <= 1e-12 * approx[field.name], (field.name, a, b)
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("expand", [True, False])
+@pytest.mark.parametrize("state", _table_states())
+def test_report_matches_per_pick_reference(state, expand):
+    for stg in _reference_settings(state.n_modes):
+        _assert_report_matches(cfrd_evaluate(state, stg, expand),
+                               reference_cfrd_evaluate(state, stg, expand))
+
+
+@pytest.mark.parametrize("state", [param for param in _table_states()
+                                   if param.values[0].n_modes == 2])
+def test_two_mode_quantities_match_per_pick_reference(state):
+    want = reference_two_mode_moment_table(state)
+    np.testing.assert_allclose(two_mode_moment_table(state), want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+    for stg in _reference_settings(2):
+        got, want = two_mode_bound(state, stg), reference_two_mode_bound(state, stg)
+        assert got.bound == want.bound
+        assert got.beta2 == pytest.approx(want.beta2, rel=1e-12)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``run()`` runs; numpy reports
+    its buffers to it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pure_table_never_forms_rho():
+    # the cutoff-47 TMSV keeps 45 levels per mode: its rho would take 65.6 MB
+    from cvbell.cfrd import moment_table
+
+    state = make_two_mode_squeezed(ModeSpec(2, 47), 0.5)
+    rho_bytes = state.support.mode_spec.dim ** 2 * 16
+    stg = _reference_settings(2)[0]
+    peak = _traced_peak(lambda: (moment_table(state), cfrd_evaluate(state, stg)))
+    assert peak < rho_bytes / 32
+
+
+def test_s_squared_terms_run_in_chunks():
+    # S^2 of the 14-mode Fock pair has 2^14 - 1 = 16383 terms; their
+    # coefficient rows alone would take 14.7 MB if made at once. The peak
+    # holds a few chunks of the contraction and the 16385 values it returns.
+    from cvbell.cfrd import _CONTRACT_BATCH_ENTRIES
+
+    state = make_fock_pair(14, range(7))
+    stg = _reference_settings(14)[0]
+    peak = _traced_peak(lambda: cfrd_evaluate(state, stg))
+    assert peak < 8 * _CONTRACT_BATCH_ENTRIES * 16

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -109,14 +110,34 @@ def test_eval_non_finite_cat_alpha_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def _overflowing_cat(tmp_path, capsys, alpha, argv):
+    """Exit code and stdout of a command on a 10-mode cat at ``alpha``, with
+    warnings recorded rather than raised; none may be a RuntimeWarning."""
+    spec = write_spec(tmp_path, {"type": "cat", "n": 10, "alpha": [alpha, 0],
+                                 "sign": 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], spec, *argv[1:]])
+    captured = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+    return code, captured.out
+
+
 @pytest.mark.parametrize("alpha", [1e20, 1e40])
 def test_eval_overflowing_cat_exit_code(tmp_path, capsys, alpha):
     # 1e20 overflows a float power; 1e40 turns the moments into NaN
-    spec = write_spec(tmp_path, {"type": "cat", "n": 10, "alpha": [alpha, 0],
-                                 "sign": 1})
-    code, out = run(capsys, ["eval", spec, "--theta", ",".join(["0"] * 10),
-                             "--delta", ",".join(["0"] * 10),
-                             "--s", "1,1,1,1,1,-1,-1,-1,-1,-1"])
+    code, out = _overflowing_cat(tmp_path, capsys, alpha, [
+        "eval", "--theta", ",".join(["0"] * 10), "--delta", ",".join(["0"] * 10),
+        "--s", "1,1,1,1,1,-1,-1,-1,-1,-1"])
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("alpha", [1e20, 1e40])
+def test_optimize_overflowing_cat_exit_code(tmp_path, capsys, alpha):
+    # the search's first contraction overflows and ends it, before any simplex
+    code, out = _overflowing_cat(tmp_path, capsys, alpha, ["optimize"])
     assert code == 3
     assert out == ""
 
@@ -141,6 +162,25 @@ def test_eval_unknown_random_kind_exit_code(tmp_path, capsys):
 ])
 def test_eval_rejects_non_integer_counts(tmp_path, capsys, doc):
     # int() would truncate each of these to a valid spec and exit 0
+    spec = write_spec(tmp_path, doc)
+    code, out = run(capsys, ["eval", spec, "--theta", "0,0",
+                             "--delta", "0,0", "--s", "1,-1"])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "cat", "n": 2, "alpha": ["1.5", True], "sign": 1},
+    {"type": "ghz", "n": 2, "cutoff": 4, "phase": [True, False]},
+    {"type": "coherent", "alphas": [[0.1, "0"], [0.2, 0.0]], "cutoff": 12},
+    {"type": "tmsv", "r": "0.3", "cutoff": 24},
+    {"type": "tmsv", "r": True, "cutoff": 48},
+    {"type": "tmsv", "r": math.nan, "cutoff": 24},
+    {"type": "coherent", "alphas": [[math.inf, 0.0], [0.2, 0.0]], "cutoff": 12},
+])
+def test_eval_rejects_non_number_fields(tmp_path, capsys, doc):
+    # float() would read each string or boolean as a valid spec and exit 0;
+    # NaN and Infinity, which the JSON reader takes, must not reach numpy
     spec = write_spec(tmp_path, doc)
     code, out = run(capsys, ["eval", spec, "--theta", "0,0",
                              "--delta", "0,0", "--s", "1,-1"])

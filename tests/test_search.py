@@ -375,8 +375,8 @@ def test_scan_ties_keep_first_candidate():
 
 
 def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
-    # every sign pattern at one alpha shares the per-mode lists of the four
-    # polynomials (b, b^dag, N, cos*N + 1/2), each over the T^2 term pairs
+    # every sign pattern at one alpha reads one moment table: the six
+    # monomials {1, a, a^dag, N, a^2, a^dag^2} on each mode and term pair
     calls = 0
     real = structured.single_mode_matrix_element
 
@@ -388,7 +388,7 @@ def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
     monkeypatch.setattr(structured, "single_mode_matrix_element", counted)
     n, n_terms = 6, 2
     scan_cat_family([n], [0.7], 1)
-    assert 0 < calls <= 5 * n * n_terms ** 2
+    assert calls == 6 * n * n_terms ** 2
 
 
 def test_optimizer_reads_one_moment_table(monkeypatch):
