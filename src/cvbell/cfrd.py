@@ -21,6 +21,7 @@ negative, where the transposed set I collects the modes with s_k = -1.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,8 +105,8 @@ def quadrature_matrices(d: int, theta: float, delta: float, s: int,
                  for angle in (theta, theta + delta + s * math.pi / 2))
 
 
-def _real_part(value: complex, what: str, tol: float = 1e-8) -> float:
-    if abs(value.imag) > tol * max(1.0, abs(value)):
+def _real_part(value: complex, what: str) -> float:
+    if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise NumericalConsistencyError(f"{what} = {value} has non-real residue")
     return value.real
 
@@ -125,12 +126,11 @@ def cfrd_evaluate_many(state, settings_seq: Sequence[QuadratureSettings],
                        expand_s_squared: bool = True) -> list[CfrdReport]:
     """``cfrd_evaluate`` for each settings, from one ``moment_table``.
 
-    <prod B> in both orders are points of one forward contraction. In the
-    rhs contraction, whose coefficient rows are made chunk by chunk, point j
-    of a settings is its rhs product at j = 0, else the moment of N_b on the
-    modes of S_{j-1} times 1/(2 cos delta) on the others; mode k lies in S_i
-    unless bit k of i is set. S_0 holds every mode, so j = 1 is <prod N_b>;
-    with ``expand_s_squared`` the points j >= 2 follow and sum to S^2.
+    <prod B> in both orders are points of one forward contraction, and the
+    rhs product and <prod N_b> points of one rhs contraction. With
+    ``expand_s_squared`` each S^2 term is an entry of one outer contraction
+    per settings: every mode takes N_b or 1/(2 cos delta), and the 2^n - 1
+    entries with at least one 1/(2 cos delta) sum to S^2.
     """
     n = state.n_modes
     if any(settings.n_modes != n for settings in settings_seq):
@@ -142,37 +142,34 @@ def cfrd_evaluate_many(state, settings_seq: Sequence[QuadratureSettings],
                                 np.array([s.deltas for s in settings_seq]))
     plus = np.array([s.signs for s in settings_seq]) == 1
     fwd = _forward_coeffs(u, v, plus)  # B(-s) = B(s)^dag: swapped, conjugated
-    means = _contract_rows(table, table.forward, np.stack(
-        (fwd, fwd[..., ::-1].conj()), axis=1).reshape(-1, n, 2)).reshape(-1, 2)
-    rhs_rows = _rhs_coeffs(w, cosd)
     n_b = np.stack((v.conj() * v, u.conj() * u + v.conj() * v, u * v.conj(),
                     u.conj() * v), axis=-1)
     outside = np.stack([0.5 / cosd] + [np.zeros_like(cosd)] * 3, axis=-1)
-    width = 1 + (2 ** n if expand_s_squared else 1)
-
-    def rhs_points(part):
-        i, j = np.divmod(np.arange(part.start, part.stop), width)
-        inside = (((j[:, None] - 1) >> np.arange(n)) & 1) == 0
-        rows = np.where(inside[..., None], n_b[i], outside[i])
-        rows[j == 0] = rhs_rows[i[j == 0]]
-        return _contract(table, table.rhs, rows)
-
-    values = _chunked(table, len(settings_seq) * width, rhs_points).reshape(-1, width)
+    with _finite():
+        means = _contract(table, table.forward, np.stack(
+            (fwd, fwd[..., ::-1].conj()), axis=1).reshape(-1, n, 2)).reshape(-1, 2)
+        values = _contract(table, table.rhs, np.stack(
+            (_rhs_coeffs(w, cosd), n_b), axis=1).reshape(-1, n, 4)).reshape(-1, 2)
+        terms = [_contract_outer(table, table.rhs, np.stack(rows, axis=1))[1:]
+                 if expand_s_squared else None for rows in zip(n_b, outside)]
     return [_report(*args) for args in zip(settings_seq, cosd.prod(axis=-1),
-                                           means, values)]
+                                           means, values, terms)]
 
 
-def _report(settings: QuadratureSettings, cos_prod, means, values) -> CfrdReport:
-    """One settings' report from its forward and rhs points."""
+def _report(settings, cos_prod, means, values, terms) -> CfrdReport:
+    """One settings' report from its forward and rhs points and, if
+    expanded, its S^2 terms."""
     mean_fwd, mean_rev = complex(means[0]), complex(means[1])
     lhs = abs(mean_fwd) ** 2
-    prod_n = _real_part(complex(values[1]), "<prod N>")
     rhs = _real_part(complex(values[0]), "rhs product") / float(cos_prod)
+    prod_n = _real_part(complex(values[1]), "<prod N>")
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericalConsistencyError(
             f"functional not finite: lhs = {lhs}, rhs = {rhs}")
-    s_squared = (_real_part(complex(values[2:].sum()), "S^2") if len(values) > 2
-                 else rhs - prod_n)
+    if terms is not None and np.any(np.abs(terms.imag)
+                                    > 1e-8 * np.maximum(1.0, np.abs(terms))):
+        raise NumericalConsistencyError("an S^2 term has non-real residue")
+    s_squared = rhs - prod_n if terms is None else float(terms.real.sum())
     minor_d = prod_n - _real_part(mean_fwd * mean_rev, "minor cross term")
     beta = lhs - rhs
     return CfrdReport(
@@ -185,8 +182,7 @@ def _report(settings: QuadratureSettings, cos_prod, means, values) -> CfrdReport
 
 def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
-    """``cfrd_evaluate``'s beta = lhs - rhs at one settings; the per-point
-    reference for ``beta_from_moments``."""
+    """``cfrd_evaluate``'s beta = lhs - rhs at one settings."""
     settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
     return cfrd_evaluate(state, settings, expand_s_squared=False).beta
 
@@ -199,21 +195,19 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
 #   - N_b is (|v|^2, |u|^2 + |v|^2, u v*, u* v) on (1, N, a^2, a^dag^2), and
 #     c N_b + 1/2 is (1 - c/2, 1, w, w*) with w = c u v*, as
 #     c |v|^2 + 1/2 = 1 - c/2 and c (|u|^2 + |v|^2) = 1.
-
-# the monomials a, a^dag, 1, N, a^2, a^dag^2 as (q, p) of a^dag^q a^p, so
-# that each block is a slice; two_mode_moment_table reorders its axes
-_TABLE_EXPONENTS = ((0, 1), (1, 0), (0, 0), (1, 1), (0, 2), (2, 0))
+# (q, p) of each a^dag^q a^p, in two_mode_moment_table's order; block indices
+_TABLE_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 _MONOMIALS = tuple(NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS)
-_FORWARD, _RHS = slice(0, 2), slice(2, 6)
+_FORWARD, _RHS = [1, 2], [0, 3, 4, 5]
 # entries of the largest contraction intermediate per chunk of points;
-# bounds memory when a simplex or the S^2 expansion asks for many points
-_CONTRACT_BATCH_ENTRIES = 1 << 14
+# bounds memory when a simplex or many settings ask for many points
+_CONTRACT_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """One state's moments on the six monomials (``full``) and two blocks of
-    them: ``forward`` on {a, a^dag} and ``rhs`` on {1, N, a^2, a^dag^2}.
+    """One state's moments on two blocks of the six monomials: ``forward``
+    on {a, a^dag} and ``rhs`` on {1, N, a^2, a^dag^2} of each mode.
 
     A structured state keeps each block factored over its T^2 term pairs,
     shape (T^2, n, m), with ``weights`` (T^2,): a moment is the sum over
@@ -222,42 +216,46 @@ class MomentTable:
     """
 
     weights: np.ndarray | None
-    full: np.ndarray
     forward: np.ndarray
     rhs: np.ndarray
 
 
-def _dense_moments(state: DenseState) -> np.ndarray:
-    """The 6^n tensor of <prod_k monomial_{m_k}> on the support lattice, one
-    product with the monomial matrices per mode. A pure state contracts mode
-    0 against ket and bra at once, so it never forms its density matrix."""
+def _dense_moments(state: DenseState, picks: Sequence[int]) -> np.ndarray:
+    """The tensor (m,)*n of <prod_k monomial_{picks[m_k]}> on the support
+    lattice, one product with the m monomial matrices per mode. A pure state
+    never forms its density matrix: the matrices act on the ket of its first
+    h modes, which then meets the bra, with h chosen so that the ket's
+    m^h s^n and the remaining m^h s^(2(n-h)) entries stay fewest."""
     sup = state.support
-    n, s = sup.n_modes, sup.cutoff
-    mats = np.stack([monomial_matrix(s, q, p) for q, p in _TABLE_EXPONENTS])
-    if sup.kind == "pure":  # acc[m, ket, bra] over modes 1..n-1
-        psi = sup.array.reshape(s, -1)
-        acc = np.swapaxes(mats @ psi, 1, 2) @ psi.conj()
+    n, s, m = sup.n_modes, sup.cutoff, len(picks)
+    mats = np.stack([monomial_matrix(s, *_TABLE_EXPONENTS[i]) for i in picks])
+    if sup.kind == "pure":  # acc[m^h, ket, bra] over modes h..n-1
+        h = min(range(1, n + 1), key=lambda h: m ** h * (s ** n + s ** (2 * n - 2 * h)))
+        ket = sup.array  # [applied m, applied levels, rest] once reshaped
+        for k in range(h):
+            ket = mats[:, None] @ ket.reshape(-1, 1, s ** k, s, s ** (n - k - 1))
+        acc = ket.reshape(m ** h, s ** h, -1).swapaxes(1, 2) @ sup.array.reshape(
+            s ** h, -1).conj()
     else:
         acc = sup.array[None]
-    flat = mats.transpose(2, 1, 0).reshape(s * s, 6)  # [(ket, bra), m]
+    flat = mats.transpose(2, 1, 0).reshape(s * s, m)  # [(ket, bra), m]
     while acc.shape[-1] > 1:
         rest = acc.shape[-1] // s
         acc = acc.reshape(-1, s, rest, s, rest).transpose(0, 2, 4, 1, 3)
-        acc = (acc.reshape(-1, s * s) @ flat).reshape(-1, rest, rest, 6)
+        acc = (acc.reshape(-1, s * s) @ flat).reshape(-1, rest, rest, m)
         acc = acc.transpose(0, 3, 1, 2).reshape(-1, rest, rest)
-    return acc.reshape((6,) * n)
+    return acc.reshape((m,) * n)
 
 
 def moment_table(state) -> MomentTable:
     """One state's ``MomentTable``: term-pair factors of a structured state
-    (6 n T^2 single-mode elements), the 6^n tensor of any other state."""
+    (6 n T^2 single-mode elements), the 2^n and 4^n block tensors of any
+    other state."""
     if isinstance(state, StructuredState):
-        weights, full = term_pair_elements(state, _MONOMIALS)
-        blocks = [full[..., part].copy() for part in (_FORWARD, _RHS)]
-    else:
-        weights, full = None, _dense_moments(state)
-        blocks = [full[(part,) * state.n_modes].copy() for part in (_FORWARD, _RHS)]
-    return MomentTable(weights, full, *blocks)
+        weights, elements = term_pair_elements(state, _MONOMIALS)
+        return MomentTable(weights, elements[..., _FORWARD], elements[..., _RHS])
+    return MomentTable(None, _dense_moments(state, _FORWARD),
+                       _dense_moments(state, _RHS))
 
 
 def _bogoliubov(thetas: np.ndarray, deltas: np.ndarray):
@@ -284,41 +282,59 @@ def _rhs_coeffs(w, cosd) -> np.ndarray:
     return np.stack((1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1)
 
 
+@contextmanager
+def _finite():
+    """Turn an overflow, or a result that is not a number, in the numpy
+    arithmetic of the contractions it holds into NumericalConsistencyError
+    at once."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericalConsistencyError(f"moment contraction: {exc}") from None
+
+
 def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
               ) -> np.ndarray:
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
-    for points ``coeffs`` of shape (P, n, m); elementwise, without BLAS."""
+    for points ``coeffs`` of shape (P, n, m); elementwise, without BLAS, in
+    chunks of points whose intermediates hold about
+    ``_CONTRACT_BATCH_ENTRIES`` entries."""
+    step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
+    if len(coeffs) > step:
+        return np.concatenate([_contract(table, block, coeffs[lo:lo + step])
+                               for lo in range(0, len(coeffs), step)])
     if table.weights is not None:
         per_mode = (coeffs[:, None] * block).sum(axis=-1)
         return (table.weights * per_mode.prod(axis=-1)).sum(axis=-1)
     _, n, m = coeffs.shape
     acc = block.reshape(1, -1)
     for k in range(n):
-        acc = (coeffs[:, k, :, None] * acc.reshape(len(acc), m, -1)).sum(axis=1)
+        acc = (coeffs[:, k, :, None] * acc.reshape(len(acc), m, m ** (n - k - 1))
+               ).sum(axis=1)
     return acc[:, 0]
 
 
-def _chunked(table: MomentTable, count: int, values_of, dtype=complex,
-             ) -> np.ndarray:
-    """``values_of(part)`` over the points ``range(count)``, in slices
-    ``part`` small enough that a contraction intermediate of ``table`` holds
-    about ``_CONTRACT_BATCH_ENTRIES`` entries. An overflow, or a result that
-    is not a number, raises NumericalConsistencyError at once."""
-    out = np.empty(count, dtype)
-    step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for lo in range(0, count, step):
-                out[lo:lo + step] = values_of(slice(lo, min(lo + step, count)))
-        except FloatingPointError as exc:
-            raise NumericalConsistencyError(f"moment contraction: {exc}") from None
+def _contract_outer(table: MomentTable, block: np.ndarray, rows: np.ndarray,
+                    ) -> np.ndarray:
+    """The r^n moments of prod_k rows[k, r_k] over one block, for per-mode
+    rows of shape (n, r, m), flat with mode 0 slowest: a dense block meets
+    one mode's r rows at a time, and each term pair of a structured block
+    is an outer product over modes."""
+    n, r, m = rows.shape
+    if table.weights is None:
+        acc = block
+        for k in range(n):
+            acc = rows[k] @ acc.reshape(r ** k, m, -1)
+        return acc.ravel()
+    out = np.zeros(r ** n, complex)
+    per_mode = np.einsum("pkm,krm->pkr", block, rows)
+    for weight, factors in zip(table.weights, per_mode):
+        acc = weight
+        for factor in factors:
+            acc = np.multiply.outer(acc, factor)
+        out += acc.ravel()
     return out
-
-
-def _contract_rows(table: MomentTable, block: np.ndarray, rows: np.ndarray,
-                   ) -> np.ndarray:
-    """``_contract`` of every coefficient row of ``rows``, in chunks."""
-    return _chunked(table, len(rows), lambda part: _contract(table, block, rows[part]))
 
 
 def beta_from_moments(table: MomentTable, thetas: np.ndarray,
@@ -337,13 +353,11 @@ def beta_from_moments(table: MomentTable, thetas: np.ndarray,
     n = thetas.shape[-1]
     thetas, deltas, plus = (a.reshape(-1, n) for a in (thetas, deltas, signs == 1))
 
-    def betas(part):
-        u, v, w, cosd = _bogoliubov(thetas[part], deltas[part])
-        fwd = _contract(table, table.forward, _forward_coeffs(u, v, plus[part]))
+    u, v, w, cosd = _bogoliubov(thetas, deltas)
+    with _finite():
+        fwd = _contract(table, table.forward, _forward_coeffs(u, v, plus))
         rhs = _contract(table, table.rhs, _rhs_coeffs(w, cosd))
-        return np.abs(fwd) ** 2 - rhs.real / cosd.prod(axis=-1)
-
-    return _chunked(table, len(thetas), betas, float).reshape(shape)
+        return (np.abs(fwd) ** 2 - rhs.real / cosd.prod(axis=-1)).reshape(shape)
 
 
 def two_mode_moment_table(state) -> np.ndarray:
@@ -351,10 +365,10 @@ def two_mode_moment_table(state) -> np.ndarray:
     (identity, a, a^dag, a^dag a, a^2, a^dag^2) on each mode."""
     if state.n_modes != 2:
         raise SettingsError("moment table requires exactly two modes")
-    table = moment_table(state)
-    # one point per entry, with the unit coefficient rows of its monomials
-    return _contract_rows(table, table.full, np.eye(6)[[2, 0, 1, 3, 4, 5]][
-        np.indices((6, 6)).reshape(2, -1).T]).reshape(6, 6)
+    if isinstance(state, StructuredState):
+        weights, e = term_pair_elements(state, _MONOMIALS)
+        return np.einsum("p,pi,pj->ij", weights, e[:, 0], e[:, 1])
+    return _dense_moments(state, range(6))
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
@@ -371,15 +385,11 @@ def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
     u, v, w, cosd = _bogoliubov(thetas, deltas)
     t = table
 
-    coeffs = []
-    for k, s in enumerate(signs):
-        if s == 1:
-            coeffs.append((u[..., k], v[..., k]))
-        elif s == -1:
-            coeffs.append((v[..., k].conj(), u[..., k].conj()))
-        else:
-            raise SettingsError(f"sign must be +1 or -1, got {s}")
-    (p1, q1), (p2, q2) = coeffs
+    if any(s not in (1, -1) for s in signs):
+        raise SettingsError(f"signs must be +1 or -1, got {signs}")
+    (p1, q1), (p2, q2) = [(u[..., k], v[..., k]) if s == 1 else
+                          (v[..., k].conj(), u[..., k].conj())
+                          for k, s in enumerate(signs)]
     fwd = (p1 * (p2 * t[..., 1, 1] + q2 * t[..., 1, 2])
            + q1 * (p2 * t[..., 2, 1] + q2 * t[..., 2, 2]))
 
@@ -416,14 +426,13 @@ def two_mode_bound(state, settings: QuadratureSettings) -> TwoModeBound:
     phi = theta + np.array(settings.deltas) + np.array(settings.signs) * (math.pi / 2)
     # X and Y of each mode on (a, a^dag); X^2 + Y^2 = 2 + 4 N + (e^{-2i theta}
     # + e^{-2i phi}) a^2 + h.c. on (1, N, a^2, a^dag^2)
-    x, y = (np.stack((np.exp(-1j * angle), np.exp(1j * angle)), axis=-1)
-            for angle in (theta, phi))
+    quads = np.exp(np.stack((theta, phi), axis=1)[..., None] * [-1j, 1j])
     squared = np.exp(-2j * theta) + np.exp(-2j * phi)
-    means = _contract_rows(table, table.forward, np.array(
-        [(x[0], x[1]), (y[0], y[1]), (x[0], y[1]), (y[0], x[1])]))
-    squares = _contract_rows(table, table.rhs, np.stack(
-        (np.full(2, 2.0), np.full(2, 4.0), squared, squared.conj()), axis=-1)[None])
-    xx, yy, xy, yx, prod_sq = [_real_part(complex(m), "two-mode quadrature moment")
+    with _finite():
+        means = _contract_outer(table, table.forward, quads)
+        squares = _contract(table, table.rhs, np.stack(
+            (np.full(2, 2.0), np.full(2, 4.0), squared, squared.conj()), axis=-1)[None])
+    xx, xy, yx, yy, prod_sq = [_real_part(complex(m), "two-mode quadrature moment")
                                for m in (*means, *squares)]
     beta2 = (xx - yy) ** 2 + (xy + yx) ** 2 - prod_sq
     bound = (4.0 * settings.signs[0] * settings.signs[1]

@@ -34,10 +34,9 @@ class SpecParseError(ValueError):
 
 
 def _complex_from_json(value) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_is_number, value))):
-        raise SpecParseError(f"expected [re, im] pair of numbers, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise SpecParseError(f"expected [re, im] pair, got {value!r}")
+    return complex(*(float(_number(part, "[re, im]")) for part in value))
 
 
 def _complex_to_json(z: complex) -> list[float]:
@@ -55,14 +54,17 @@ _SPEC_FIELDS = {
 }
 
 
-# Counts and indices, read as JSON integers only: int() would truncate 2.9.
 _INTEGER_FIELDS = {"n", "cutoff", "headroom", "seed", "sign"}
 _INTEGER_LIST_FIELDS = {"occupations", "flipped"}
 
 
-def _is_number(value, types=(int, float)) -> bool:
-    """A finite JSON number of ``types``; float() would also take "0.3", true, NaN."""
-    return type(value) in types and abs(value) < math.inf
+def _number(value, what: str, types=(int, float)):
+    """``value`` if it is a finite JSON number of ``types``: int() would
+    truncate 2.9, and float() would take "0.3", true and NaN."""
+    if type(value) in types and abs(value) < math.inf:
+        return value
+    raise SpecParseError(f"{what!r} must hold finite JSON numbers of type "
+                         f"{'/'.join(t.__name__ for t in types)}, got {value!r}")
 
 
 def parse_state_spec(doc: dict):
@@ -77,10 +79,8 @@ def parse_state_spec(doc: dict):
         raise SpecParseError(f"unknown fields for {kind!r} spec: {sorted(extra)}")
     try:
         for key in doc.keys() & (_INTEGER_FIELDS | _INTEGER_LIST_FIELDS):
-            values = doc[key] if key in _INTEGER_LIST_FIELDS else [doc[key]]
-            if not all(_is_number(v, (int,)) for v in values):
-                raise SpecParseError(f"{key!r} must hold JSON integers, "
-                                     f"got {doc[key]!r}")
+            for value in doc[key] if key in _INTEGER_LIST_FIELDS else [doc[key]]:
+                _number(value, key, (int,))
         if kind == "basis":
             occ = doc["occupations"]
             spec = fock.ModeSpec(len(occ), doc["cutoff"])
@@ -97,9 +97,8 @@ def parse_state_spec(doc: dict):
         if kind == "tmsv":
             spec = fock.ModeSpec(2, doc["cutoff"])
             kwargs = {"headroom": doc["headroom"]} if "headroom" in doc else {}
-            if not _is_number(doc["r"]):
-                raise SpecParseError(f"'r' must be a JSON number, got {doc['r']!r}")
-            return fock.make_two_mode_squeezed(spec, float(doc["r"]), **kwargs)
+            return fock.make_two_mode_squeezed(spec, float(_number(doc["r"], "r")),
+                                               **kwargs)
         if kind == "cat":
             if not doc.get("structured", True):
                 raise SpecParseError("cat specs are structured-only")

@@ -350,21 +350,13 @@ def product_operator_expectation(state: DenseState,
         for mode, m in matrices.items():
             out = (m @ out.reshape(d ** mode, d, -1)).reshape(out.shape)
         return complex(np.vdot(state.array, out))
-    rho = state.array.reshape((d,) * (2 * n))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    rows = list(letters[:n])
-    cols = list(letters[n:2 * n])
-    subs = []
-    operands = []
+    # axis k of rho is the ket of mode k; its bra is axis n + k if M_k joins
+    # them, else axis k again, which traces the mode out
+    args = [state.array.reshape((d,) * (2 * n)),
+            [*range(n), *(n + k if k in matrices else k for k in range(n))]]
     for mode, m in matrices.items():
-        subs.append(cols[mode] + rows[mode])
-        operands.append(m)
-    for mode in range(n):
-        if mode not in matrices:
-            cols[mode] = rows[mode]
-    rho_sub = "".join(rows) + "".join(cols)
-    return complex(np.einsum(rho_sub + "," + ",".join(subs) + "->", rho, *operands)
-                   if operands else np.einsum(rho_sub + "->", rho))
+        args += [m, [n + mode, mode]]
+    return complex(np.einsum(*args, []))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from cvbell import CfrdReport, NormalOrderedPoly, TwoModeBound
+from cvbell import CfrdReport, NormalOrderedPoly, QuadratureSettings, TwoModeBound
 from cvbell.moments import poly_expectations
 
 ACCEPTANCE_LINES: list[str] = []
@@ -197,6 +197,12 @@ def reference_cfrd_evaluate(state, settings, expand_s_squared=True):
         bipartition=settings.bipartition, beta=beta, violated=beta > 1e-9,
         trivial_bipartition=settings.trivial_bipartition,
         mean_forward=mean_fwd, mean_reverse=mean_rev, settings=settings)
+
+
+def reference_beta(state, thetas, deltas, signs):
+    """``cfrd_beta`` by the per-pick recipe, apart from ``moment_table``."""
+    settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
+    return reference_cfrd_evaluate(state, settings, expand_s_squared=False).beta
 
 
 def reference_two_mode_bound(state, settings):

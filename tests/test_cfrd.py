@@ -7,8 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (reference_cfrd_evaluate, reference_two_mode_bound,
-                      reference_two_mode_moment_table)
+from conftest import (reference_beta, reference_cfrd_evaluate,
+                      reference_two_mode_bound, reference_two_mode_moment_table)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,7 +236,7 @@ def test_report_is_phase_covariant():
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_moment_table_matches_scalar_beta(seed):
-    from cvbell import beta_from_table, cfrd_beta, two_mode_moment_table
+    from cvbell import beta_from_table, two_mode_moment_table
 
     rng = np.random.default_rng(seed)
     kind = "pure" if seed % 2 else "mixed"
@@ -245,7 +245,7 @@ def test_moment_table_matches_scalar_beta(seed):
     thetas = rng.uniform(0, 2 * math.pi, 2)
     deltas = rng.uniform(-1.2, 1.2, 2)
     for signs in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
-        scalar = cfrd_beta(state, thetas, deltas, signs)
+        scalar = reference_beta(state, thetas, deltas, signs)
         fast = float(beta_from_table(table, thetas, deltas, signs))
         assert fast == pytest.approx(scalar, abs=1e-10)
 
@@ -318,7 +318,7 @@ def test_beta_from_table_matches_dense_reference():
 def test_beta_from_table_simplex_shapes():
     # the batched simplex pairs per-row tables (B, 6, 6) with settings (B, 2)
     # and per-row tables (B, 1, 6, 6) with vertex settings (B, V, 2)
-    from cvbell import beta_from_table, cfrd_beta, two_mode_moment_table
+    from cvbell import beta_from_table, two_mode_moment_table
 
     states = [random_state(ModeSpec(2, 6), "pure" if i % 2 else "mixed",
                            headroom=3, seed=30 + i) for i in range(4)]
@@ -332,7 +332,7 @@ def test_beta_from_table_simplex_shapes():
         np.testing.assert_array_equal(rows, vertices[:, 0])
         for b, state in enumerate(states):
             for j in range(5):
-                scalar = cfrd_beta(state, thetas[b, j], deltas[b, j], signs)
+                scalar = reference_beta(state, thetas[b, j], deltas[b, j], signs)
                 assert vertices[b, j] == pytest.approx(scalar, abs=1e-10)
 
     with pytest.raises(SettingsError):
@@ -494,7 +494,7 @@ def test_moment_table_contraction_matches_cfrd_beta(state):
     signs[0, 0] = -signs[1, 0]
     got = beta_from_moments(moment_table(state), thetas, deltas, signs)
     assert got.shape == (3, 4)
-    want = [[cfrd_beta(state, thetas[p, j], deltas[p, j], signs[p, 0])
+    want = [[reference_beta(state, thetas[p, j], deltas[p, j], signs[p, 0])
              for j in range(4)] for p in range(3)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -604,10 +604,39 @@ def test_pure_table_never_forms_rho():
 def test_s_squared_terms_run_in_chunks():
     # S^2 of the 14-mode Fock pair has 2^14 - 1 = 16383 terms; their
     # coefficient rows alone would take 14.7 MB if made at once. The peak
-    # holds a few chunks of the contraction and the 16385 values it returns.
-    from cvbell.cfrd import _CONTRACT_BATCH_ENTRIES
-
+    # holds a few arrays of the 2^14 outer-contraction values of one term
+    # pair and their sum.
     state = make_fock_pair(14, range(7))
     stg = _reference_settings(14)[0]
     peak = _traced_peak(lambda: cfrd_evaluate(state, stg))
-    assert peak < 8 * _CONTRACT_BATCH_ENTRIES * 16
+    assert peak < 8 * 2 ** 14 * 16
+
+
+def test_dense_ghz_ten_modes_builds_only_the_blocks():
+    # a pure 2^10-dim GHZ state: its rhs block has 4^10 entries (16.8 MB),
+    # against 967 MB for a table of all six monomials; the peak stays within
+    # a few copies of that block, and the S^2 terms match the per-pick
+    # reference
+    n = 10
+    state = make_ghz_like(ModeSpec(n, 2))
+    stg = _reference_settings(n)[0]
+    results = []
+    peak = _traced_peak(lambda: results.append(verify_implication(state, stg)))
+    assert peak < 4 * 16 * 4 ** n
+    result, = results
+    assert result.consistent and result.pt_min_eig < 0
+    _assert_report_matches(result.report, reference_cfrd_evaluate(state, stg))
+
+
+def test_pure_three_mode_table_applies_monomials_to_the_ket():
+    # support 30 on three modes: contracting mode 0 against ket and bra at
+    # once would make four 900 x 900 blocks (52 MB); the monomials of the
+    # first two modes act on the ket instead, a few copies of its 27000
+    # levels for each pair of them
+    state = random_state(ModeSpec(3, 31), "pure", headroom=1, seed=0)
+    dim = state.support.mode_spec.dim
+    stg = _reference_settings(3)[0]
+    reports = []
+    peak = _traced_peak(lambda: reports.append(cfrd_evaluate(state, stg)))
+    assert peak < 32 * dim * 16
+    _assert_report_matches(reports[0], reference_cfrd_evaluate(state, stg))
