@@ -19,7 +19,7 @@ from .fock import (DenseState, ModeSpec, PartialTransposeResult,
                    random_state)
 from .moments import (MinorReport, MomentMatrix, build_moment_matrix,
                       cfrd_minor_determinant, find_negative_minor, index_pairs,
-                      moment_entry, principal_minor)
+                      principal_minor)
 from .search import (OptimizeResult, ScanRow, SettingsSearchSpec,
                      batched_nelder_mead, best_beta_two_mode_batch,
                      default_alpha_grid, optimize_settings, scan_cat_family)

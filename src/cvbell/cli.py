@@ -48,7 +48,7 @@ _SPEC_FIELDS = {
     "ghz": {"n", "phase", "cutoff"},
     "coherent": {"alphas", "cutoff", "headroom"},
     "tmsv": {"r", "cutoff", "headroom"},
-    "cat": {"n", "alpha", "sign", "structured"},
+    "cat": {"n", "alpha", "sign"},
     "fock_pair": {"n", "flipped"},
     "random": {"n", "cutoff", "kind", "headroom", "seed"},
 }
@@ -100,8 +100,6 @@ def parse_state_spec(doc: dict):
             return fock.make_two_mode_squeezed(spec, float(_number(doc["r"], "r")),
                                                **kwargs)
         if kind == "cat":
-            if not doc.get("structured", True):
-                raise SpecParseError("cat specs are structured-only")
             return structured.make_cat_family(
                 doc["n"], _complex_from_json(doc["alpha"]), doc["sign"])
         if kind == "fock_pair":
@@ -325,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="maximize beta over settings")
     p_opt.add_argument("state_spec")
-    p_opt.add_argument("--restarts", type=int, default=4)
+    p_opt.add_argument("--restarts", type=int, default=4,
+                       help="simplex restarts per bipartition")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--max-evals", type=int, default=20000)
     p_opt.set_defaults(func=cmd_optimize)

@@ -124,19 +124,11 @@ def _entries(state, part: frozenset[int], rows: Sequence[IndexPair],
     return np.array(values, dtype=complex).reshape(len(rows), len(cols))
 
 
-def moment_entry(state, bipartition: Iterable[int], row: IndexPair,
-                 col: IndexPair) -> complex:
-    """Single matrix-of-moments entry for the given row/column exponents.
-
-    The empty and all-mode bipartitions are allowed here: they label the
-    state-positivity matrix rather than a genuine partial transpose.
-    """
-    return complex(_entries(state, frozenset(bipartition), [row], [col], None)[0, 0])
-
-
 def build_moment_matrix(state, bipartition: Iterable[int], order: int,
                         ) -> MomentMatrix:
-    """Full matrix over all exponent pairs with total degree <= order."""
+    """Full matrix over all exponent pairs with total degree <= order.
+
+    The empty and all-mode bipartitions give the state-positivity matrix."""
     part = frozenset(bipartition)
     pairs = index_pairs(state.n_modes, order)
     return MomentMatrix(bipartition=part, order=order, index_list=pairs,

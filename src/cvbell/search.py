@@ -1,8 +1,9 @@
 """Settings optimization and family scans.
 
 The settings space mixes a discrete part (the per-mode sign choices) with a
-continuous box over (theta, delta). The discrete part is enumerated
-exhaustively; the continuous part runs seeded Nelder-Mead restarts. The
+continuous box over (theta, delta). beta is even in the signs, so the
+discrete part is one sign pattern per nontrivial bipartition, the one with
+s_0 = +1; the continuous part runs seeded Nelder-Mead restarts on each. The
 delta box stays strictly inside (-pi/2, pi/2) to avoid the 1/cos blow-up.
 """
 
@@ -27,6 +28,8 @@ SIMPLEX_XATOL = 1e-6
 
 @dataclass(frozen=True)
 class SettingsSearchSpec:
+    """Search effort: ``restarts`` seeded simplexes per nontrivial bipartition,
+    at most ``max_evals`` beta evaluations in all."""
     n_modes: int
     restarts: int = 4
     seed: int = 0
@@ -50,10 +53,14 @@ class OptimizeResult:
 
 
 def _sign_assignments(n: int):
-    """Sign patterns with both signs: the nontrivial bipartitions."""
-    for signs in itertools.product((1, -1), repeat=n):
-        if len(set(signs)) == 2:
-            yield signs
+    """One sign pattern per nontrivial bipartition: s_0 = +1, some s_k = -1.
+
+    Mode by mode B(-s) = B(s)^dag, so <prod B(-s)> = conj <prod B(s)> and the
+    rhs does not read s: beta(-s) = beta(s), and -s names the same split.
+    """
+    for rest in itertools.product((1, -1), repeat=n - 1):
+        if -1 in rest:
+            yield (1, *rest)
 
 
 def _box(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +70,7 @@ def _box(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
-    """Maximize beta over signs (exhaustive) and angles (Nelder-Mead restarts).
+    """Maximize beta over bipartitions and angles (Nelder-Mead restarts).
 
     Every (sign pattern, restart) pair is one problem of a single batched
     simplex, whose objective contracts the state's ``moment_table`` once per
@@ -196,27 +203,26 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     """Per-state maximal beta over settings for a batch of two-mode states.
 
     ``tables`` stacks ``two_mode_moment_table`` outputs, shape (batch, 6, 6).
-    Mirrors ``optimize_settings`` (exhaustive nontrivial signs, seeded
-    simplex restarts) but runs every state in one vectorized pass. It reads
-    only ``n_modes``, ``restarts`` and ``seed`` of ``spec``; ``max_evals``
-    is not applied.
+    Mirrors ``optimize_settings`` (seeded simplex restarts on the one
+    nontrivial bipartition, signs (1, -1)) but runs every state in one
+    vectorized pass, one simplex per restart. It reads only ``n_modes``,
+    ``restarts`` and ``seed`` of ``spec``; ``max_evals`` is not applied.
     """
     if spec.n_modes != 2:
         raise ValueError("batch sweep is specific to two modes")
     batch = tables.shape[0]
     rng = np.random.default_rng(spec.seed)
     lo, hi = _box(2)
+    [signs] = _sign_assignments(2)
+
+    def objective(rows, x):
+        return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:], signs)
+
     best = np.full(batch, -np.inf)
-    for signs in _sign_assignments(2):
-
-        def objective(rows, x):
-            return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:],
-                                    signs)
-
-        for _ in range(spec.restarts):
-            x0 = lo + rng.random((batch, 4)) * (hi - lo)
-            _, fbest = batched_nelder_mead(objective, x0, lo, hi)
-            best = np.maximum(best, -fbest)
+    for _ in range(spec.restarts):
+        x0 = lo + rng.random((batch, 4)) * (hi - lo)
+        _, fbest = batched_nelder_mead(objective, x0, lo, hi)
+        best = np.maximum(best, -fbest)
     return best
 
 
@@ -237,17 +243,6 @@ def default_alpha_grid(points: int = 60, lo: float = 0.05, hi: float = 3.0,
     return np.geomspace(lo, hi, points)
 
 
-def _scan_sign_choices(n: int, exhaustive: bool):
-    if n == 1:
-        # no nontrivial split exists for a single mode; scan both labels
-        return [(1,), (-1,)]
-    if exhaustive or n <= 6:
-        return list(_sign_assignments(n))
-    # at delta=0 the functional depends on the signs only through the
-    # number of -1 entries; one representative per count suffices
-    return [tuple(-1 if k < m else 1 for k in range(n)) for m in range(1, n)]
-
-
 # A scan candidate must beat the best ratio by more than this to replace it.
 # Ratios that tie up to rounding (every grid point at odd n, where lhs is 0;
 # every sign pattern at large alpha, where they differ by e^{-2n|alpha|^2})
@@ -256,12 +251,18 @@ SCAN_TIE_TOLERANCE = 1e-12
 
 
 def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
-                    sign: int, exhaustive_signs: bool = False) -> list[ScanRow]:
-    """Best lhs/rhs ratio over the alpha grid for each mode count (delta=0)."""
+                    sign: int) -> list[ScanRow]:
+    """Best lhs/rhs ratio over the alpha grid for each mode count (delta=0).
+
+    The cat is symmetric in its modes, so at delta = 0 the functional reads
+    the signs only through the count m of -1 labels, and it is even in them:
+    m = 1..n//2 covers every split. A single mode has none; (1,) stands for
+    both of its labels.
+    """
     rows = []
     for n in n_range:
         best: ScanRow | None = None
-        choices = _scan_sign_choices(n, exhaustive_signs)
+        choices = [(1,) * (n - m) + (-1,) * m for m in range(1, n // 2 + 1)] or [(1,)]
         settings = [QuadratureSettings((0.0,) * n, (0.0,) * n, signs)
                     for signs in choices]
         for alpha in alpha_grid:

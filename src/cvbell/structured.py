@@ -149,8 +149,10 @@ def single_mode_matrix_element(bra: PrimitiveKet, poly: NormalOrderedPoly,
     total = 0.0 + 0.0j
     if bra.variant == "coherent" and ket.variant == "coherent":
         bc, g = bra.value.conjugate(), ket.value
-        # the overlap <bra|ket> is common to every monomial
-        ovl = cmath.exp(-abs(bc) ** 2 / 2 - abs(g) ** 2 / 2 + bc * g)
+        # the overlap <bra|ket> is common to every monomial. Through
+        # |bra - ket|^2 it is exactly 1 at bra = ket; -|b|^2/2 - |g|^2/2 +
+        # conj(b) g would cancel terms of size |b|^2 and miss 0 by ~eps |b|^2
+        ovl = cmath.exp(-abs(bra.value - g) ** 2 / 2 + 1j * (bc * g).imag)
         for (q, p), c in poly.terms.items():
             total += c * (bc ** q * g ** p * ovl)
         return complex(total)

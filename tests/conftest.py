@@ -40,10 +40,8 @@ def cat_closed_form(n: int, alpha: complex, sign: int,
 
 
 def cat_closed_form_best_ratio(n: int, alpha_grid, sign: int) -> float:
-    """Best closed-form lhs/rhs over the grid and the m the cat scan covers.
-
-    The scan labels one mode either way at n = 1 and otherwise takes every
-    nontrivial split, m = 1..n-1.
+    """Best closed-form lhs/rhs over the grid and every count m of -1 labels:
+    both labels at n = 1, every nontrivial split m = 1..n-1 otherwise.
     """
     ms = range(0, 2) if n == 1 else range(1, n)
     sides = (cat_closed_form(n, alpha, sign, m)

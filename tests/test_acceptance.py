@@ -151,8 +151,9 @@ def test_criterion_4_two_mode_no_violation():
                                  tuple(int(s) for s in rng.choice([1, -1], 2)))
         res = two_mode_bound(state, stg)
         worst_excess = max(worst_excess, res.beta2 - res.bound)
-    # 10 seeded simplex restarts for each of the two nontrivial sign choices
-    spec = SettingsSearchSpec(n_modes=2, restarts=10, seed=SUITE_SEED)
+    # 20 seeded simplex restarts on the one nontrivial split, signs (1, -1);
+    # (-1, 1) gives the same beta
+    spec = SettingsSearchSpec(n_modes=2, restarts=20, seed=SUITE_SEED)
     best = best_beta_two_mode_batch(tables, spec)
     elapsed = time.perf_counter() - start
     ok = best.max() <= 1e-9 and worst_excess <= 1e-9

@@ -368,6 +368,57 @@ def test_beta_invariant_under_global_sign_flip(seed):
                           rel=1e-12, abs=1e-12))
 
 
+@pytest.mark.parametrize("state", [
+    random_state(ModeSpec(3, 4), "mixed", headroom=2, seed=11),
+    random_state(ModeSpec(4, 3), "pure", headroom=1, seed=12),
+    make_cat_family(5, 0.9 + 0.3j, 1),
+    make_fock_pair(6, [0, 2, 5])], ids=["dense-3-mixed", "dense-4-pure",
+                                        "cat-5", "fock-pair-6"])
+def test_sign_flip_leaves_beta_and_minor_to_rounding(state):
+    # the search evaluates only s_0 = +1: -s must give the same beta to
+    # rounding and the same D^I, since I and its complement name one split
+    from cvbell.cfrd import beta_from_moments, moment_table
+
+    n = state.n_modes
+    rng = np.random.default_rng(n)
+    thetas = rng.uniform(0, 2 * math.pi, (200, n))
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (200, n))
+    signs = rng.choice([1, -1], (200, n))
+    table = moment_table(state)
+    beta = beta_from_moments(table, thetas, deltas, signs)
+    flipped = beta_from_moments(table, thetas, deltas, -signs)
+    assert np.all(np.abs(beta - flipped) <= 1e-15 * np.maximum(1.0, np.abs(beta)))
+    for t, d, s in zip(thetas[:20], deltas[:20], signs[:20]):
+        reports = [cfrd_evaluate(state, _settings(t, d, sign.tolist()))
+                   for sign in (s, -s)]
+        assert reports[0].minor_d == reports[1].minor_d
+
+
+def test_sign_flip_leaves_two_mode_table_beta_to_rounding():
+    from cvbell import beta_from_table
+
+    tables = np.stack([two_mode_moment_table(random_state(
+        ModeSpec(2, 6), "pure" if i % 2 else "mixed", headroom=3, seed=i))
+        for i in range(100)])
+    thetas, deltas = _simplex_settings(np.random.default_rng(5), (100, 20))
+    beta = beta_from_table(tables[:, None], thetas, deltas, (1, -1))
+    flipped = beta_from_table(tables[:, None], thetas, deltas, (-1, 1))
+    assert np.all(np.abs(beta - flipped) <= 1e-15 * np.maximum(1.0, np.abs(beta)))
+
+
+@pytest.mark.parametrize("state", [
+    make_two_mode_squeezed(ModeSpec(2, 14), 0.3),
+    random_state(ModeSpec(2, 3), "mixed", headroom=1, seed=4)],
+    ids=["tmsv", "mixed"])
+def test_partial_transpose_spectrum_is_the_same_across_a_split(state):
+    # rho^{T_I} and rho^{T_complement} are transposes of each other
+    from cvbell import partial_transpose_min_eig
+
+    first = partial_transpose_min_eig(state, {0}).min_eigenvalue
+    assert first < 0
+    assert partial_transpose_min_eig(state, {1}).min_eigenvalue == first
+
+
 def _zero_padded(state, cutoff, headroom):
     """The same state on a larger lattice, padded with empty levels."""
     n, d = state.n_modes, state.cutoff

@@ -177,10 +177,12 @@ def test_eval_rejects_non_integer_counts(tmp_path, capsys, doc):
     {"type": "tmsv", "r": True, "cutoff": 48},
     {"type": "tmsv", "r": math.nan, "cutoff": 24},
     {"type": "coherent", "alphas": [[math.inf, 0.0], [0.2, 0.0]], "cutoff": 12},
+    {"type": "cat", "n": 2, "alpha": [1.0, 0.0], "sign": 1, "structured": True},
 ])
 def test_eval_rejects_non_number_fields(tmp_path, capsys, doc):
     # float() would read each string or boolean as a valid spec and exit 0;
-    # NaN and Infinity, which the JSON reader takes, must not reach numpy
+    # NaN and Infinity, which the JSON reader takes, must not reach numpy.
+    # A cat carries no "structured" flag: it is always a structured state
     spec = write_spec(tmp_path, doc)
     code, out = run(capsys, ["eval", spec, "--theta", "0,0",
                              "--delta", "0,0", "--s", "1,-1"])

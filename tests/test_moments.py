@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cvbell import (ModeSpec, StructuredState, build_moment_matrix,
                     cfrd_minor_determinant, find_negative_minor, index_pairs,
                     make_basis_state, make_coherent_product, make_ghz_like,
-                    make_two_mode_squeezed, moment_entry, normal_order,
+                    make_two_mode_squeezed, normal_order,
                     partial_transpose_min_eig, principal_minor,
                     random_separable_mixture, random_state)
 from cvbell import moments
@@ -31,22 +31,28 @@ def test_index_pairs_graded_lex():
             assert a[0] + a[1] < b[0] + b[1]
 
 
+def _entry(state, bipartition, order, row, col) -> complex:
+    """The (row, col) entry of the order-``order`` matrix of moments."""
+    m = build_moment_matrix(state, bipartition, order)
+    return m.entries[m.index_list.index(row), m.index_list.index(col)]
+
+
 def test_identity_moment():
     st_ = random_state(ModeSpec(2, 5), "mixed", headroom=2, seed=5)
     z = ((0, 0), (0, 0))
-    assert moment_entry(st_, frozenset({0}), z, z) == pytest.approx(1.0)
+    assert _entry(st_, frozenset({0}), 1, z, z) == pytest.approx(1.0)
 
 
 def test_number_moment_entry():
     one = make_basis_state(ModeSpec(1, 5), [1])
-    val = moment_entry(one, frozenset(), ((0,), (1,)), ((0,), (1,)))
+    val = _entry(one, frozenset(), 1, ((0,), (1,)), ((0,), (1,)))
     assert val == pytest.approx(1.0)
 
 
 def test_ghz_cross_moment_entry():
     # row l_1=1 with col q_2=1 assembles the a1 a2 cross moment
     ghz = make_ghz_like(ModeSpec(2, 4))
-    val = moment_entry(ghz, frozenset({0}), ((0, 0), (1, 0)), ((0, 0), (0, 1)))
+    val = _entry(ghz, frozenset({0}), 1, ((0, 0), (1, 0)), ((0, 0), (0, 1)))
     a = normal_order([("annihilate", 1)])
     want = poly_expectations(ghz, [{0: a, 1: a}])[0]
     assert val == pytest.approx(0.5)
@@ -174,12 +180,10 @@ def test_structured_and_dense_entries_agree():
                                (c, (number_ket(1), number_ket(1)))])
     ghz_d = make_ghz_like(ModeSpec(2, 8))
     for part in (frozenset(), frozenset({0}), frozenset({1})):
-        pairs = index_pairs(2, 1)
-        for row in pairs:
-            for col in pairs:
-                a = moment_entry(ghz_s, part, row, col)
-                b = moment_entry(ghz_d, part, row, col)
-                assert a == pytest.approx(b, abs=1e-8)
+        a = build_moment_matrix(ghz_s, part, 1)
+        b = build_moment_matrix(ghz_d, part, 1)
+        assert a.index_list == b.index_list
+        np.testing.assert_allclose(a.entries, b.entries, rtol=0, atol=1e-8)
 
 
 def test_moment_matrix_evaluates_each_word_once(monkeypatch):

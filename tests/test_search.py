@@ -1,14 +1,15 @@
 """Settings optimization and family scans."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
-                    cfrd_evaluate, default_alpha_grid, make_basis_state,
-                    make_two_mode_squeezed, optimize_settings,
-                    random_state, scan_cat_family)
+                    cfrd_evaluate, cfrd_evaluate_many, default_alpha_grid,
+                    make_basis_state, make_cat_family, make_two_mode_squeezed,
+                    optimize_settings, random_state, scan_cat_family)
 from cvbell import search, structured
 from cvbell.search import _sign_assignments
 
@@ -26,8 +27,17 @@ def test_search_spec_validation():
 
 
 def test_sign_assignments_exclude_trivial():
-    got = list(_sign_assignments(2))
-    assert set(got) == {(1, -1), (-1, 1)}
+    # one pattern per nontrivial bipartition: with their negations they are
+    # every pattern that holds both signs, each exactly once
+    for n in range(2, 9):
+        got = list(_sign_assignments(n))
+        assert len(got) == 2 ** (n - 1) - 1
+        assert all(signs[0] == 1 for signs in got)
+        mirrored = got + [tuple(-s for s in signs) for signs in got]
+        nontrivial = [signs for signs in itertools.product((1, -1), repeat=n)
+                      if len(set(signs)) == 2]
+        assert len(nontrivial) == 2 ** n - 2
+        assert sorted(mirrored) == sorted(nontrivial)
 
 
 def test_box_keeps_the_search_defaults():
@@ -90,8 +100,8 @@ def test_budget_exhaustion_flagged():
 
 
 def test_simplex_stops_once_the_budget_is_spent(monkeypatch):
-    # 60 problems of 5 vertices fill the 300 evaluations; the next reflection
-    # call reads +inf on every row and ends the search
+    # 60 of the 100 problems, 5 vertices each, fill the 300 evaluations; the
+    # next reflection call reads +inf on every row and ends the search
     calls = []
     real = search.batched_nelder_mead
 
@@ -104,7 +114,7 @@ def test_simplex_stops_once_the_budget_is_spent(monkeypatch):
 
     monkeypatch.setattr(search, "batched_nelder_mead", recording)
     state = random_state(ModeSpec(2, 6), "pure", headroom=3, seed=2)
-    res = optimize_settings(state, SettingsSearchSpec(n_modes=2, restarts=50,
+    res = optimize_settings(state, SettingsSearchSpec(n_modes=2, restarts=100,
                                                       seed=0, max_evals=300))
     assert res.budget_exhausted and res.evaluations == 300
     assert math.isfinite(res.report.beta)
@@ -127,13 +137,13 @@ def test_budget_edges_leave_a_finite_best(max_evals):
 
 
 def test_dense_three_modes_reaches_its_best_beta():
-    # -3.469860145 is the best beta found on this state; 4000 evaluations
-    # spread over all 12 (sign pattern, restart) problems stop short of it
+    # -3.469860145 is the best beta found on this state; 2000 evaluations
+    # spread over all 6 (sign pattern, restart) problems stop short of it
     # by less than 1e-5, and the default budget reaches it
     state = random_state(ModeSpec(3, 5), "mixed", 2, 3)
     cut = optimize_settings(state, SettingsSearchSpec(
-        n_modes=3, restarts=2, seed=1, max_evals=4000))
-    assert cut.budget_exhausted and cut.evaluations == 4000
+        n_modes=3, restarts=2, seed=1, max_evals=2000))
+    assert cut.budget_exhausted and cut.evaluations == 2000
     assert cut.report.beta >= -3.469860145 - 1e-5
     full = optimize_settings(state, SettingsSearchSpec(n_modes=3, restarts=2,
                                                        seed=1))
@@ -192,12 +202,21 @@ def test_scan_phase_invariance():
 
 
 def test_scan_representative_signs_match_exhaustive():
-    # above six modes the scan keeps one sign pattern per count of -1 labels;
-    # check against the exhaustive enumeration on a case that has both paths
+    # the scan keeps one sign pattern per count m <= n/2 of -1 labels; each
+    # row must reach the best ratio over every pattern (both labels at n = 1)
     grid = default_alpha_grid(8)
-    a = scan_cat_family([7], grid, sign=1, exhaustive_signs=True)[0]
-    b = scan_cat_family([7], grid, sign=1, exhaustive_signs=False)[0]
-    assert a.ratio == pytest.approx(b.ratio, abs=1e-12)
+    for n in range(1, 8):
+        patterns = [signs for signs in itertools.product((1, -1), repeat=n)
+                    if n == 1 or len(set(signs)) == 2]
+        settings = [QuadratureSettings((0.0,) * n, (0.0,) * n, signs)
+                    for signs in patterns]
+        for sign in (1, -1):
+            best = max(rep.lhs / rep.rhs for alpha in grid
+                       for rep in cfrd_evaluate_many(
+                           make_cat_family(n, alpha, sign), settings,
+                           expand_s_squared=False))
+            [row] = scan_cat_family([n], grid, sign=sign)
+            assert row.ratio == pytest.approx(best, abs=1e-12)
 
 
 def test_cat_scan_matches_closed_form():
@@ -360,10 +379,9 @@ def test_scan_ties_keep_first_candidate():
     # n: the best ratio (18/19)^n sits at the grid's edge |alpha| = 3, where
     # every sign pattern ties up to e^{-36 n} and the first one is kept
     grid = default_alpha_grid(60)
-    # up to six modes the scan enumerates every nontrivial pattern, above six
-    # one representative per count of -1 labels
+    # the scan takes one pattern per count m = 1..n/2 of -1 labels, trailing
     first_signs = {1: (1,), 2: (1, -1), 3: (1, 1, -1), 4: (1, 1, 1, -1),
-                   7: (-1, 1, 1, 1, 1, 1, 1), 8: (-1, 1, 1, 1, 1, 1, 1, 1)}
+                   7: (1, 1, 1, 1, 1, 1, -1), 8: (1, 1, 1, 1, 1, 1, 1, -1)}
     for sign in (1, -1):
         for row in scan_cat_family(sorted(first_signs), grid, sign=sign):
             assert row.signs == first_signs[row.n]
@@ -389,6 +407,29 @@ def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
     n, n_terms = 6, 2
     scan_cat_family([n], [0.7], 1)
     assert calls == 6 * n * n_terms ** 2
+
+
+def test_scan_evaluates_one_pattern_per_split_size(monkeypatch):
+    # per alpha, one call over max(1, n // 2) patterns: no pattern is the
+    # negation or a mode permutation of another, so none repeats a ratio
+    calls = {}
+    real = search.cfrd_evaluate_many
+
+    def recording(state, settings, **kwargs):
+        calls.setdefault(state.n_modes, []).append(
+            [stg.signs for stg in settings])
+        return real(state, settings, **kwargs)
+
+    monkeypatch.setattr(search, "cfrd_evaluate_many", recording)
+    scan_cat_family(range(1, 11), [0.4, 0.9], 1)
+    for n in range(1, 11):
+        assert len(calls[n]) == 2
+        for patterns in calls[n]:
+            assert len(patterns) == max(1, n // 2)
+            assert all(signs[0] == 1 for signs in patterns)
+            counts = [signs.count(-1) for signs in patterns]
+            assert len(set(counts)) == len(counts)
+            assert all(2 * m <= n for m in counts)
 
 
 def test_optimizer_reads_one_moment_table(monkeypatch):

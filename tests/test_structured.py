@@ -91,9 +91,36 @@ def test_coherent_element_equals_per_monomial_sum_exactly():
         want = 0j
         for (q, p), c in poly.terms.items():
             want += c * (b.conjugate() ** q * g ** p * cmath.exp(
-                -abs(b) ** 2 / 2 - abs(g) ** 2 / 2 + b.conjugate() * g))
+                -abs(b - g) ** 2 / 2 + 1j * (b.conjugate() * g).imag))
         got = single_mode_matrix_element(coherent_ket(b), poly, coherent_ket(g))
         assert repr(got) == repr(want)
+
+
+def test_coherent_overlap_is_exactly_one_on_the_diagonal():
+    # exp(-|b|^2/2 - |b|^2/2 + |b|^2) cancels two numbers of size |b|^2 and
+    # misses 1 by ~eps |b|^2; the overlap must not
+    phases = np.exp(1j * np.linspace(0.0, 2 * math.pi, 500, endpoint=False))
+    for size in (1.0, 1e3, 1e5, 1e7, 1e8):
+        for phase in phases:
+            ket = coherent_ket(complex(size * phase))
+            assert overlap(ket, ket) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("size", [1e5, 1e7])
+def test_large_odd_cats_keep_their_norm_and_never_violate(n, size):
+    # N(|a..a> - |-a..-a>) at |a| = size: the norm is 1 to rounding, and no
+    # setting near delta = 0 with balanced signs reads a violation, which
+    # the paper rules out for these cats
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        alpha = complex(size * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+        cat = make_cat_family(n, alpha, -1)
+        assert abs(cat.norm_squared() - 1.0) <= 1e-14
+        signs = tuple(int(s) for s in rng.permutation([1, -1] * (n // 2)))
+        settings_ = QuadratureSettings(tuple(rng.uniform(0, 2 * math.pi, n)),
+                                       tuple(rng.uniform(-0.1, 0.1, n)), signs)
+        assert not cfrd_evaluate(cat, settings_).violated
 
 
 def test_structured_vacuum_annihilation_word():
