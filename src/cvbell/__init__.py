@@ -8,7 +8,7 @@ dense partial-transpose spectral oracle.
 
 from .cfrd import (CfrdReport, QuadratureSettings, TwoModeBound,
                    VerificationResult, beta_from_table, cfrd_beta,
-                   cfrd_evaluate, cfrd_evaluate_many, mode_transform,
+                   cfrd_evaluate, mode_transform,
                    quadrature_matrices, two_mode_bound, two_mode_moment_table, verify_implication)
 from .errors import (BipartitionError, CutoffError, CvBellError,
                      NumericalConsistencyError, SettingsError, TruncationError)

@@ -111,70 +111,43 @@ def _real_part(value: complex, what: str) -> float:
     return value.real
 
 
-def cfrd_evaluate(state, settings: QuadratureSettings,
-                  expand_s_squared: bool = True) -> CfrdReport:
+def cfrd_evaluate(state, settings: QuadratureSettings) -> CfrdReport:
     """Evaluate the Bell functional and its moment-minor companion.
 
-    With ``expand_s_squared`` the lower-order part is summed term by term
-    over mode subsets (an independent check of the identity
-    rhs = S^2 + <prod N>); otherwise it is taken as the difference.
+    <prod B> in both orders are two points of one forward contraction of the
+    state's ``moment_table``, and the rhs product and <prod N_b> two points of
+    one rhs contraction. Each S^2 term is an entry of one outer contraction:
+    every mode takes N_b or 1/(2 cos delta), and the 2^n - 1 entries with at
+    least one 1/(2 cos delta) sum to S^2, an independent check of the
+    identity rhs = S^2 + <prod N>.
     """
-    return cfrd_evaluate_many(state, [settings], expand_s_squared)[0]
-
-
-def cfrd_evaluate_many(state, settings_seq: Sequence[QuadratureSettings],
-                       expand_s_squared: bool = True) -> list[CfrdReport]:
-    """``cfrd_evaluate`` for each settings, from one ``moment_table``.
-
-    <prod B> in both orders are points of one forward contraction, and the
-    rhs product and <prod N_b> points of one rhs contraction. With
-    ``expand_s_squared`` each S^2 term is an entry of one outer contraction
-    per settings: every mode takes N_b or 1/(2 cos delta), and the 2^n - 1
-    entries with at least one 1/(2 cos delta) sum to S^2.
-    """
-    n = state.n_modes
-    if any(settings.n_modes != n for settings in settings_seq):
+    if settings.n_modes != state.n_modes:
         raise SettingsError("settings length does not match state mode count")
-    if not settings_seq:
-        return []
     table = moment_table(state)
-    u, v, w, cosd = _bogoliubov(np.array([s.thetas for s in settings_seq]),
-                                np.array([s.deltas for s in settings_seq]))
-    plus = np.array([s.signs for s in settings_seq]) == 1
-    fwd = _forward_coeffs(u, v, plus)  # B(-s) = B(s)^dag: swapped, conjugated
+    u, v, w, cosd = _bogoliubov(np.array(settings.thetas), np.array(settings.deltas))
+    fwd = _forward_coeffs(u, v, np.array(settings.signs) == 1)
     n_b = np.stack((v.conj() * v, u.conj() * u + v.conj() * v, u * v.conj(),
                     u.conj() * v), axis=-1)
     outside = np.stack([0.5 / cosd] + [np.zeros_like(cosd)] * 3, axis=-1)
-    with _finite():
-        means = _contract(table, table.forward, np.stack(
-            (fwd, fwd[..., ::-1].conj()), axis=1).reshape(-1, n, 2)).reshape(-1, 2)
-        values = _contract(table, table.rhs, np.stack(
-            (_rhs_coeffs(w, cosd), n_b), axis=1).reshape(-1, n, 4)).reshape(-1, 2)
-        terms = [_contract_outer(table, table.rhs, np.stack(rows, axis=1))[1:]
-                 if expand_s_squared else None for rows in zip(n_b, outside)]
-    return [_report(*args) for args in zip(settings_seq, cosd.prod(axis=-1),
-                                           means, values, terms)]
-
-
-def _report(settings, cos_prod, means, values, terms) -> CfrdReport:
-    """One settings' report from its forward and rhs points and, if
-    expanded, its S^2 terms."""
+    with _finite():  # B(-s) = B(s)^dag: fwd swapped and conjugated
+        means = _contract(table, table.forward, np.stack((fwd, fwd[..., ::-1].conj())))
+        values = _contract(table, table.rhs, np.stack((_rhs_coeffs(w, cosd), n_b)))
+        terms = _contract_outer(table, table.rhs, np.stack((n_b, outside), axis=1))[1:]
     mean_fwd, mean_rev = complex(means[0]), complex(means[1])
     lhs = abs(mean_fwd) ** 2
-    rhs = _real_part(complex(values[0]), "rhs product") / float(cos_prod)
+    rhs = _real_part(complex(values[0]), "rhs product") / float(cosd.prod())
     prod_n = _real_part(complex(values[1]), "<prod N>")
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericalConsistencyError(
             f"functional not finite: lhs = {lhs}, rhs = {rhs}")
-    if terms is not None and np.any(np.abs(terms.imag)
-                                    > 1e-8 * np.maximum(1.0, np.abs(terms))):
+    if np.any(np.abs(terms.imag) > 1e-8 * np.maximum(1.0, np.abs(terms))):
         raise NumericalConsistencyError("an S^2 term has non-real residue")
-    s_squared = rhs - prod_n if terms is None else float(terms.real.sum())
     minor_d = prod_n - _real_part(mean_fwd * mean_rev, "minor cross term")
     beta = lhs - rhs
     return CfrdReport(
-        lhs=lhs, rhs=rhs, s_squared=s_squared, product_number_moment=prod_n,
-        minor_d=minor_d, bipartition=settings.bipartition, beta=beta,
+        lhs=lhs, rhs=rhs, s_squared=float(terms.real.sum()),
+        product_number_moment=prod_n, minor_d=minor_d,
+        bipartition=settings.bipartition, beta=beta,
         violated=beta > VIOLATION_THRESHOLD,
         trivial_bipartition=settings.trivial_bipartition,
         mean_forward=mean_fwd, mean_reverse=mean_rev, settings=settings)
@@ -184,7 +157,7 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
     """``cfrd_evaluate``'s beta = lhs - rhs at one settings."""
     settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
-    return cfrd_evaluate(state, settings, expand_s_squared=False).beta
+    return cfrd_evaluate(state, settings).beta
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +310,14 @@ def _contract_outer(table: MomentTable, block: np.ndarray, rows: np.ndarray,
     return out
 
 
-def beta_from_moments(table: MomentTable, thetas: np.ndarray,
-                      deltas: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """beta at a batch of settings from one state's ``MomentTable``.
+def sides_from_moments(table: MomentTable, thetas: np.ndarray,
+                       deltas: np.ndarray, signs: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The functional's two sides, lhs and rhs with beta = lhs - rhs, at a
+    batch of settings from one state's ``MomentTable``.
 
     ``thetas``, ``deltas`` and ``signs`` broadcast to a common shape (..., n),
-    so every settings row may carry its own signs; returns shape (...).
+    so every settings row may carry its own signs; both sides have shape (...).
     """
     thetas, deltas, signs = np.broadcast_arrays(thetas, deltas, signs)
     if not np.all(np.abs(deltas) < math.pi / 2):
@@ -357,7 +332,8 @@ def beta_from_moments(table: MomentTable, thetas: np.ndarray,
     with _finite():
         fwd = _contract(table, table.forward, _forward_coeffs(u, v, plus))
         rhs = _contract(table, table.rhs, _rhs_coeffs(w, cosd))
-        return (np.abs(fwd) ** 2 - rhs.real / cosd.prod(axis=-1)).reshape(shape)
+        return ((np.abs(fwd) ** 2).reshape(shape),
+                (rhs.real / cosd.prod(axis=-1)).reshape(shape))
 
 
 def two_mode_moment_table(state) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import fock, search, structured
 from .cfrd import (CfrdReport, QuadratureSettings, cfrd_evaluate,
                    verify_implication)
 from .errors import CvBellError
-from .moments import build_moment_matrix, find_negative_minor, index_pairs
+from .moments import build_moment_matrix, find_negative_minor
 from .search import SettingsSearchSpec
 
 SCHEMA_VERSION = 1
@@ -211,11 +211,11 @@ def cmd_minors(args) -> int:
     part = _parse_bipartition(args.bipartition, state.n_modes)
     if args.order < 1:
         raise SpecParseError(f"--order must be >= 1, got {args.order}")
-    dim = len(index_pairs(state.n_modes, args.order))
+    matrix = build_moment_matrix(state, part, args.order)
+    dim = len(matrix.index_list)
     if not 1 <= args.max_size <= dim:
         raise SpecParseError(f"--max-size must lie in 1..{dim} (the moment "
                              f"matrix dimension), got {args.max_size}")
-    matrix = build_moment_matrix(state, part, args.order)
     hit = find_negative_minor(matrix, max_size=args.max_size)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -290,9 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_settings_flags(p):
         p.add_argument("state_spec", help="path to a JSON state spec")
-        p.add_argument("--theta", required=True, help="comma-separated angles")
-        p.add_argument("--delta", required=True, help="comma-separated angles")
-        p.add_argument("--s", required=True, help="comma-separated +-1 signs")
+        for flag, what, example in (("--theta", "angles", "-0.3,0.2"),
+                                    ("--delta", "angles", "-0.3,0.2"),
+                                    ("--s", "+-1 signs", "-1,1")):
+            p.add_argument(flag, required=True, help=(
+                f"comma-separated {what}; a list that starts with a minus "
+                f"sign needs =, as in {flag}={example}"))
 
     p_eval = sub.add_parser("eval", help="evaluate the Bell functional")
     add_settings_flags(p_eval)

@@ -51,10 +51,14 @@ class MinorReport:
 
 
 def index_pairs(n_modes: int, order: int) -> list[IndexPair]:
-    """All (k, l) pairs with total degree <= order, graded lexicographic."""
+    """All (k, l) pairs with total degree <= order, graded lexicographic.
+
+    A pair of degree t is a multiset of t of the 2n exponent slots, so the
+    C(2n + order, order) pairs are enumerated directly."""
     pairs = []
-    for combo in itertools.product(range(order + 1), repeat=2 * n_modes):
-        if sum(combo) <= order:
+    for total in range(order + 1):
+        for slots in itertools.combinations_with_replacement(range(2 * n_modes), total):
+            combo = tuple(slots.count(j) for j in range(2 * n_modes))
             pairs.append((combo[:n_modes], combo[n_modes:]))
     pairs.sort(key=lambda kl: (sum(kl[0]) + sum(kl[1]), kl[0] + kl[1]))
     return pairs

@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrd import (CfrdReport, QuadratureSettings, beta_from_moments,
-                   beta_from_table, cfrd_evaluate, cfrd_evaluate_many,
-                   moment_table)
+from .cfrd import (CfrdReport, QuadratureSettings, beta_from_table,
+                   cfrd_evaluate, moment_table, sides_from_moments)
 from .structured import make_cat_family
 
 DELTA_MARGIN = 0.05
@@ -73,12 +72,13 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     """Maximize beta over bipartitions and angles (Nelder-Mead restarts).
 
     Every (sign pattern, restart) pair is one problem of a single batched
-    simplex, whose objective contracts the state's ``moment_table`` once per
-    call, each row with its own signs. Points past the ``max_evals``-th read
-    +inf, which the simplex never accepts, and the search ends at the first
-    reflection call made wholly past the budget. Only as many problems start
-    as the budget can give a whole initial simplex, so every problem keeps a
-    finite best vertex.
+    simplex. Its objective, rhs - lhs = -beta, contracts the state's
+    ``moment_table`` in one ``sides_from_moments`` call per step, each row
+    with its own signs. Points past the ``max_evals``-th read +inf, which
+    the simplex never accepts, and the search ends at the first reflection
+    call made wholly past the budget. Only as many problems start as the
+    budget can give a whole initial simplex, so every problem keeps a finite
+    best vertex.
     """
     n = spec.n_modes
     if n != state.n_modes:
@@ -103,9 +103,9 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
         evals += count
         out = np.full(len(x) * k, np.inf)
         points = x.reshape(-1, 2 * n)[:count]
-        out[:count] = -beta_from_moments(
-            table, points[:, :n], points[:, n:],
-            np.repeat(row_signs[rows], k, axis=0)[:count])
+        lhs, rhs = sides_from_moments(table, points[:, :n], points[:, n:],
+                                      np.repeat(row_signs[rows], k, axis=0)[:count])
+        out[:count] = rhs - lhs
         return out.reshape(len(x), k)
 
     xbest, fbest = batched_nelder_mead(objective, x0, lo, hi)
@@ -257,22 +257,23 @@ def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
     The cat is symmetric in its modes, so at delta = 0 the functional reads
     the signs only through the count m of -1 labels, and it is even in them:
     m = 1..n//2 covers every split. A single mode has none; (1,) stands for
-    both of its labels.
+    both of its labels. Each alpha's patterns are one ``sides_from_moments``
+    call on the cat's ``moment_table``.
     """
+    if len(alpha_grid) == 0:
+        raise ValueError("alpha grid must hold at least one point")
     rows = []
     for n in n_range:
         best: ScanRow | None = None
         choices = [(1,) * (n - m) + (-1,) * m for m in range(1, n // 2 + 1)] or [(1,)]
-        settings = [QuadratureSettings((0.0,) * n, (0.0,) * n, signs)
-                    for signs in choices]
         for alpha in alpha_grid:
-            reports = cfrd_evaluate_many(make_cat_family(n, alpha, sign), settings,
-                                         expand_s_squared=False)
-            for signs, rep in zip(choices, reports):
-                ratio = rep.lhs / rep.rhs
+            lhs, rhs = sides_from_moments(
+                moment_table(make_cat_family(n, alpha, sign)), 0.0, 0.0,
+                np.array(choices))
+            for signs, left, right in zip(choices, lhs.tolist(), rhs.tolist()):
+                ratio = left / right
                 if best is None or ratio > best.ratio + SCAN_TIE_TOLERANCE:
-                    best = ScanRow(n=n, alpha=complex(alpha), lhs=rep.lhs,
-                                   rhs=rep.rhs, ratio=ratio, beta=rep.beta,
-                                   signs=signs)
+                    best = ScanRow(n=n, alpha=complex(alpha), lhs=left, rhs=right,
+                                   ratio=ratio, beta=left - right, signs=signs)
         rows.append(best)
     return rows

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cvbell import (DenseState, ModeSpec, QuadratureSettings, SettingsError,
                     StructuredState, build_moment_matrix, cfrd_beta,
-                    cfrd_evaluate, cfrd_evaluate_many, cfrd_minor_determinant,
+                    cfrd_evaluate, cfrd_minor_determinant,
                     coherent_ket, make_basis_state, make_cat_family,
                     make_coherent_product, make_fock_pair, make_ghz_like,
                     make_two_mode_squeezed, mode_transform, number_ket,
@@ -377,7 +377,7 @@ def test_beta_invariant_under_global_sign_flip(seed):
 def test_sign_flip_leaves_beta_and_minor_to_rounding(state):
     # the search evaluates only s_0 = +1: -s must give the same beta to
     # rounding and the same D^I, since I and its complement name one split
-    from cvbell.cfrd import beta_from_moments, moment_table
+    from cvbell.cfrd import moment_table, sides_from_moments
 
     n = state.n_modes
     rng = np.random.default_rng(n)
@@ -385,8 +385,10 @@ def test_sign_flip_leaves_beta_and_minor_to_rounding(state):
     deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (200, n))
     signs = rng.choice([1, -1], (200, n))
     table = moment_table(state)
-    beta = beta_from_moments(table, thetas, deltas, signs)
-    flipped = beta_from_moments(table, thetas, deltas, -signs)
+    lhs, rhs = sides_from_moments(table, thetas, deltas, signs)
+    beta = lhs - rhs
+    lhs, rhs = sides_from_moments(table, thetas, deltas, -signs)
+    flipped = lhs - rhs
     assert np.all(np.abs(beta - flipped) <= 1e-15 * np.maximum(1.0, np.abs(beta)))
     for t, d, s in zip(thetas[:20], deltas[:20], signs[:20]):
         reports = [cfrd_evaluate(state, _settings(t, d, sign.tolist()))
@@ -497,24 +499,12 @@ def _mixed_structured_state():
         (0.5j, (number_ket(0), coherent_ket(-0.5), number_ket(2)))])
 
 
-@pytest.mark.parametrize("expand", [True, False])
 @pytest.mark.parametrize("state", [
     random_state(ModeSpec(3, 5), "pure", headroom=2, seed=11),
     _mixed_structured_state()], ids=["dense", "structured"])
-def test_evaluate_many_equals_single_calls(state, expand):
-    rng = np.random.default_rng(5)
-    signs = [(1, 1, -1), (1, -1, -1), (-1, 1, 1)]
-    shared = [_settings([0.4] * 3, [0.3] * 3, s) for s in signs]
-    distinct = [_settings(rng.uniform(0, 2 * math.pi, 3), rng.uniform(-1.2, 1.2, 3), s)
-                for s in signs]
-    seq = shared + distinct + [shared[0]]
-    many = cfrd_evaluate_many(state, seq, expand_s_squared=expand)
-    assert len(many) == len(seq)
-    for got, want in zip(many, [cfrd_evaluate(state, s, expand) for s in seq]):
-        assert got == want
-    assert cfrd_evaluate_many(state, []) == []
+def test_evaluate_rejects_mode_count_mismatch(state):
     with pytest.raises(SettingsError):
-        cfrd_evaluate_many(state, shared + [_settings([0] * 2, [0] * 2, [1, -1])])
+        cfrd_evaluate(state, _settings([0] * 2, [0] * 2, [1, -1]))
 
 
 def _table_states():
@@ -535,7 +525,7 @@ def _table_states():
 @pytest.mark.parametrize("state", _table_states())
 def test_moment_table_contraction_matches_cfrd_beta(state):
     # a batch of (P, k, n) points, each row of k points with its own signs
-    from cvbell.cfrd import beta_from_moments, moment_table
+    from cvbell.cfrd import moment_table, sides_from_moments
 
     n = state.n_modes
     rng = np.random.default_rng(n)
@@ -543,15 +533,16 @@ def test_moment_table_contraction_matches_cfrd_beta(state):
     deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (3, 4, n))
     signs = rng.choice([1, -1], (3, 1, n))
     signs[0, 0] = -signs[1, 0]
-    got = beta_from_moments(moment_table(state), thetas, deltas, signs)
-    assert got.shape == (3, 4)
+    lhs, rhs = sides_from_moments(moment_table(state), thetas, deltas, signs)
+    assert lhs.shape == rhs.shape == (3, 4)
+    got = lhs - rhs
     want = [[reference_beta(state, thetas[p, j], deltas[p, j], signs[p, 0])
              for j in range(4)] for p in range(3)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_moment_table_blocks_and_checks():
-    from cvbell.cfrd import beta_from_moments, moment_table
+    from cvbell.cfrd import moment_table, sides_from_moments
 
     state = make_two_mode_squeezed(ModeSpec(2, 47), 0.5)
     tensor = two_mode_moment_table(state)
@@ -561,10 +552,10 @@ def test_moment_table_blocks_and_checks():
 
     thetas, deltas = np.zeros(2), np.full(2, 0.3)
     with pytest.raises(SettingsError):
-        beta_from_moments(table, thetas, deltas, [1, 0])
+        sides_from_moments(table, thetas, deltas, [1, 0])
     for edge in (math.pi / 2, -math.pi / 2, math.nan):
         with pytest.raises(SettingsError):
-            beta_from_moments(table, thetas, [0.3, edge], [1, -1])
+            sides_from_moments(table, thetas, [0.3, edge], [1, -1])
 
 
 @pytest.mark.parametrize("state", [make_fock_pair(10, range(5)),
@@ -573,7 +564,7 @@ def test_moment_table_blocks_and_checks():
 def test_moment_table_chunks_change_no_bits(state):
     # 1000 points span several chunks of the contraction; each point's value
     # is the one it gets alone
-    from cvbell.cfrd import beta_from_moments, moment_table
+    from cvbell.cfrd import moment_table, sides_from_moments
 
     n = state.n_modes
     table = moment_table(state)
@@ -581,8 +572,8 @@ def test_moment_table_chunks_change_no_bits(state):
     thetas = rng.uniform(0, 2 * math.pi, (1000, n))
     deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (1000, n))
     signs = rng.choice([1, -1], (1000, n))
-    batch = beta_from_moments(table, thetas, deltas, signs)
-    alone = [beta_from_moments(table, t, d, s)
+    batch = np.stack(sides_from_moments(table, thetas, deltas, signs), axis=-1)
+    alone = [sides_from_moments(table, t, d, s)
              for t, d, s in zip(thetas, deltas, signs)]
     assert np.array_equal(batch, alone)
 
@@ -613,8 +604,10 @@ def _assert_report_matches(got, want):
 @pytest.mark.parametrize("expand", [True, False])
 @pytest.mark.parametrize("state", _table_states())
 def test_report_matches_per_pick_reference(state, expand):
+    # the report always sums S^2 term by term; the reference sums it too
+    # (expand) or takes it as rhs - <prod N>, which the report must match
     for stg in _reference_settings(state.n_modes):
-        _assert_report_matches(cfrd_evaluate(state, stg, expand),
+        _assert_report_matches(cfrd_evaluate(state, stg),
                                reference_cfrd_evaluate(state, stg, expand))
 
 

@@ -249,6 +249,29 @@ def test_verify_random_mixed(tmp_path, capsys):
     assert json.loads(out)["consistent"] is True
 
 
+def test_settings_lists_with_leading_minus_use_equals_form(tmp_path, capsys):
+    # "--s -1,1" would read -1,1 as an option; "--s=-1,1" is the documented form
+    spec = write_spec(tmp_path, {"type": "tmsv", "r": 0.3, "cutoff": 14,
+                                 "headroom": 4})
+    code, out = run(capsys, ["verify", spec, "--theta=-0.4,1.2",
+                             "--delta=-0.3,0.2", "--s=-1,1"])
+    assert code == 0
+    settings = json.loads(out)["report"]["settings"]
+    assert settings == {"thetas": [-0.4, 1.2], "deltas": [-0.3, 0.2],
+                        "signs": [-1, 1]}
+
+
+def test_minors_ten_mode_fock_pair(tmp_path, capsys, schema):
+    # 231 exponent pairs at order 2, enumerated without walking 3^20 tuples
+    spec = write_spec(tmp_path, {"type": "fock_pair", "n": 10,
+                                 "flipped": [0, 1, 2, 3, 4]})
+    code, out = run(capsys, ["minors", spec, "--bipartition", "1111100000"])
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert doc["bipartition"] == [0, 1, 2, 3, 4]
+
+
 def test_minors_coherent_product(tmp_path, capsys, schema):
     spec = write_spec(tmp_path, {"type": "coherent",
                                  "alphas": [[0.5, 0.0], [0.3, 0.2]],

@@ -31,6 +31,18 @@ def test_index_pairs_graded_lex():
             assert a[0] + a[1] < b[0] + b[1]
 
 
+def test_index_pairs_match_brute_force():
+    # every exponent tuple with entries up to order, kept at degree <= order
+    for n in range(1, 5):
+        for order in range(4):
+            want = [(c[:n], c[n:])
+                    for c in itertools.product(range(order + 1), repeat=2 * n)
+                    if sum(c) <= order]
+            want.sort(key=lambda kl: (sum(kl[0]) + sum(kl[1]), kl[0] + kl[1]))
+            assert index_pairs(n, order) == want
+    assert len(index_pairs(10, 2)) == math.comb(22, 2) == 231
+
+
 def _entry(state, bipartition, order, row, col) -> complex:
     """The (row, col) entry of the order-``order`` matrix of moments."""
     m = build_moment_matrix(state, bipartition, order)

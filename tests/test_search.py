@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvbell import (ModeSpec, QuadratureSettings, SettingsSearchSpec,
-                    cfrd_evaluate, cfrd_evaluate_many, default_alpha_grid,
+                    cfrd_evaluate, default_alpha_grid,
                     make_basis_state, make_cat_family, make_two_mode_squeezed,
                     optimize_settings, random_state, scan_cat_family)
 from cvbell import search, structured
@@ -193,6 +193,37 @@ def test_scan_rows_sorted_and_complete():
         assert r.ratio == pytest.approx(r.lhs / r.rhs)
 
 
+def test_scan_rejects_empty_alpha_grid():
+    with pytest.raises(ValueError, match="alpha grid"):
+        scan_cat_family([2, 3], [], 1)
+
+
+def test_scan_rows_equal_cfrd_evaluate_bit_for_bit():
+    # the scan's sides come from one contraction per alpha; each row must be
+    # the report of its own alpha and signs. The scan squares np.abs(<prod B>)
+    # and the report Python's abs(<prod B>), which may round an ulp apart
+    # when <prod B> is complex. At these real alphas every field agrees bit
+    # for bit; at the complex ones rhs does, and lhs, ratio and beta agree
+    # to 1e-15 of the functional's scale.
+    grids = [[0.3], [1.2], default_alpha_grid(5), [1.2 + 0.5j], [0.9j]]
+    for sign in (1, -1):
+        for grid in grids:
+            for row in scan_cat_family(range(1, 7), grid, sign):
+                n = row.n
+                rep = cfrd_evaluate(make_cat_family(n, row.alpha, sign),
+                                    QuadratureSettings((0.0,) * n, (0.0,) * n,
+                                                       row.signs))
+                got = (row.lhs, row.ratio, row.beta)
+                want = (rep.lhs, rep.lhs / rep.rhs, rep.beta)
+                assert row.rhs == rep.rhs
+                if row.alpha.imag == 0:
+                    assert got == want
+                else:
+                    big = max(rep.lhs, rep.rhs)
+                    scale = np.array([big, want[1], big])
+                    assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * scale)
+
+
 def test_scan_phase_invariance():
     # rotating alpha's phase leaves lhs/rhs untouched at delta = 0
     grid = [0.8, 0.8 * np.exp(1.3j)]
@@ -212,9 +243,8 @@ def test_scan_representative_signs_match_exhaustive():
                     for signs in patterns]
         for sign in (1, -1):
             best = max(rep.lhs / rep.rhs for alpha in grid
-                       for rep in cfrd_evaluate_many(
-                           make_cat_family(n, alpha, sign), settings,
-                           expand_s_squared=False))
+                       for rep in [cfrd_evaluate(make_cat_family(n, alpha, sign), stg)
+                                   for stg in settings])
             [row] = scan_cat_family([n], grid, sign=sign)
             assert row.ratio == pytest.approx(best, abs=1e-12)
 
@@ -413,14 +443,14 @@ def test_scan_evaluates_one_pattern_per_split_size(monkeypatch):
     # per alpha, one call over max(1, n // 2) patterns: no pattern is the
     # negation or a mode permutation of another, so none repeats a ratio
     calls = {}
-    real = search.cfrd_evaluate_many
+    real = search.sides_from_moments
 
-    def recording(state, settings, **kwargs):
-        calls.setdefault(state.n_modes, []).append(
-            [stg.signs for stg in settings])
-        return real(state, settings, **kwargs)
+    def recording(table, thetas, deltas, signs):
+        calls.setdefault(signs.shape[-1], []).append(
+            [tuple(row) for row in signs.tolist()])
+        return real(table, thetas, deltas, signs)
 
-    monkeypatch.setattr(search, "cfrd_evaluate_many", recording)
+    monkeypatch.setattr(search, "sides_from_moments", recording)
     scan_cat_family(range(1, 11), [0.4, 0.9], 1)
     for n in range(1, 11):
         assert len(calls[n]) == 2
