@@ -499,10 +499,38 @@ def _mixed_structured_state():
         (0.5j, (number_ket(0), coherent_ket(-0.5), number_ket(2)))])
 
 
+@pytest.mark.parametrize("expand", [True, False])
 @pytest.mark.parametrize("state", [
     random_state(ModeSpec(3, 5), "pure", headroom=2, seed=11),
     _mixed_structured_state()], ids=["dense", "structured"])
-def test_evaluate_rejects_mode_count_mismatch(state):
+def test_evaluate_many_equals_single_calls(state, expand):
+    # many settings rows, each with its own signs, in one sides_from_moments
+    # call against one call per row: the full report (expand) or the sides
+    from cvbell.cfrd import moment_table, sides_from_moments
+
+    rng = np.random.default_rng(5)
+    signs = [(1, 1, -1), (1, -1, -1), (-1, 1, 1)]
+    shared = [_settings([0.4] * 3, [0.3] * 3, s) for s in signs]
+    distinct = [_settings(rng.uniform(0, 2 * math.pi, 3), rng.uniform(-1.2, 1.2, 3), s)
+                for s in signs]
+    seq = shared + distinct + [shared[0]]
+    table = moment_table(state)
+
+    def sides(rows):
+        return sides_from_moments(table, *(np.array([getattr(r, f) for r in rows])
+                                           for f in ("thetas", "deltas", "signs")))
+
+    lhs, rhs = sides(seq)
+    assert lhs.shape == rhs.shape == (len(seq),)
+    for k, stg in enumerate(seq):
+        if expand:
+            report = cfrd_evaluate(state, stg)
+            assert lhs[k] == np.abs(report.mean_forward) ** 2
+            assert rhs[k] == report.rhs
+        else:
+            assert (lhs[k], rhs[k]) == tuple(x[0] for x in sides([stg]))
+    assert all(x.shape == (0,) for x in sides_from_moments(
+        table, np.zeros((0, 3)), np.zeros((0, 3)), np.ones((0, 3))))
     with pytest.raises(SettingsError):
         cfrd_evaluate(state, _settings([0] * 2, [0] * 2, [1, -1]))
 
