@@ -49,16 +49,7 @@ class QuadratureSettings:
             raise SettingsError("thetas, deltas, signs must have equal length")
         if n < 1:
             raise SettingsError("at least one mode required")
-        if not all(math.isfinite(t) for t in self.thetas):
-            raise SettingsError("thetas must be finite")
-        for d in self.deltas:
-            if not abs(d) < math.pi / 2:
-                raise SettingsError(
-                    "|delta| must be < pi/2: the endpoint corresponds to "
-                    "measuring only one quadrature")
-        for s in self.signs:
-            if s not in (1, -1):
-                raise SettingsError("signs must be +1 or -1")
+        _check_settings(self.thetas, self.deltas, self.signs)
 
     @property
     def n_modes(self) -> int:
@@ -71,6 +62,17 @@ class QuadratureSettings:
     @property
     def trivial_bipartition(self) -> bool:
         return len(self.bipartition) in (0, self.n_modes)
+
+
+def _check_settings(thetas, deltas, signs) -> None:
+    """The rules of every settings: finite thetas, |delta| < pi/2 (the
+    endpoint measures only one quadrature) and s = +-1."""
+    if not np.isfinite(thetas).all():
+        raise SettingsError("thetas must be finite")
+    if not (np.abs(deltas) < math.pi / 2).all():
+        raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
+    if not ((np.asarray(signs) == 1) | (np.asarray(signs) == -1)).all():
+        raise SettingsError("signs must be +1 or -1")
 
 
 def mode_transform(settings: QuadratureSettings,
@@ -114,38 +116,37 @@ def _real_part(value: complex, what: str) -> float:
 def cfrd_evaluate(state, settings: QuadratureSettings) -> CfrdReport:
     """Evaluate the Bell functional and its moment-minor companion.
 
-    <prod B> in both orders are two points of one forward contraction of the
-    state's ``moment_table``, and the rhs product and <prod N_b> two points of
-    one rhs contraction. Each S^2 term is an entry of one outer contraction:
-    every mode takes N_b or 1/(2 cos delta), and the 2^n - 1 entries with at
-    least one 1/(2 cos delta) sum to S^2, an independent check of the
-    identity rhs = S^2 + <prod N>.
+    ``<prod B>`` in both orders and both sides come from ``_sides``, the one
+    contraction ``sides_from_moments`` runs, at the rows s and -s of the
+    state's ``moment_table``. Each term of rhs = S^2 + <prod N_b> is an entry
+    of one outer contraction: every mode takes N_b or 1/(2 cos delta), entry
+    0 is <prod N_b>, and the 2^n - 1 entries with at least one
+    1/(2 cos delta) sum to S^2, an independent check of the identity.
     """
     if settings.n_modes != state.n_modes:
         raise SettingsError("settings length does not match state mode count")
     table = moment_table(state)
-    u, v, w, cosd = _bogoliubov(np.array(settings.thetas), np.array(settings.deltas))
-    fwd = _forward_coeffs(u, v, np.array(settings.signs) == 1)
+    bogo = _bogoliubov(np.array([settings.thetas]), np.array([settings.deltas]))
+    u, v, _, cosd = (x[0] for x in bogo)
     n_b = np.stack((v.conj() * v, u.conj() * u + v.conj() * v, u * v.conj(),
                     u.conj() * v), axis=-1)
     outside = np.stack([0.5 / cosd] + [np.zeros_like(cosd)] * 3, axis=-1)
-    with _finite():  # B(-s) = B(s)^dag: fwd swapped and conjugated
-        means = _contract(table, table.forward, np.stack((fwd, fwd[..., ::-1].conj())))
-        values = _contract(table, table.rhs, np.stack((_rhs_coeffs(w, cosd), n_b)))
-        terms = _contract_outer(table, table.rhs, np.stack((n_b, outside), axis=1))[1:]
+    plus = np.equal(settings.signs, [[1], [-1]])  # rows s, -s: B(-s) = B(s)^dag
+    with _finite():
+        means, lhs, rhs = _sides(table, *bogo, plus)
+        terms = _contract_outer(table, table.rhs, np.stack((n_b, outside), axis=1))
     mean_fwd, mean_rev = complex(means[0]), complex(means[1])
-    lhs = abs(mean_fwd) ** 2
-    rhs = _real_part(complex(values[0]), "rhs product") / float(cosd.prod())
-    prod_n = _real_part(complex(values[1]), "<prod N>")
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericalConsistencyError(
             f"functional not finite: lhs = {lhs}, rhs = {rhs}")
     if np.any(np.abs(terms.imag) > 1e-8 * np.maximum(1.0, np.abs(terms))):
-        raise NumericalConsistencyError("an S^2 term has non-real residue")
+        raise NumericalConsistencyError("a term of rhs has non-real residue")
+    prod_n = float(terms[0].real)
     minor_d = prod_n - _real_part(mean_fwd * mean_rev, "minor cross term")
     beta = lhs - rhs
     return CfrdReport(
-        lhs=lhs, rhs=rhs, s_squared=float(terms.real.sum()),
+        lhs=lhs, rhs=rhs, s_squared=float(terms[1:].real.sum()),
         product_number_moment=prod_n, minor_d=minor_d,
         bipartition=settings.bipartition, beta=beta,
         violated=beta > VIOLATION_THRESHOLD,
@@ -155,9 +156,11 @@ def cfrd_evaluate(state, settings: QuadratureSettings) -> CfrdReport:
 
 def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
               signs: Sequence[int]) -> float:
-    """``cfrd_evaluate``'s beta = lhs - rhs at one settings."""
-    settings = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
-    return cfrd_evaluate(state, settings).beta
+    """beta = lhs - rhs at one settings by ``sides_from_moments``: the bits of
+    ``cfrd_evaluate``'s beta, without its S^2 expansion."""
+    q = QuadratureSettings(tuple(thetas), tuple(deltas), tuple(signs))
+    lhs, rhs = sides_from_moments(moment_table(state), q.thetas, q.deltas, q.signs)
+    return float(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +247,6 @@ def _bogoliubov(thetas: np.ndarray, deltas: np.ndarray):
     return u, v, w, cosd
 
 
-def _forward_coeffs(u, v, plus) -> np.ndarray:
-    """B(s) on (a, a^dag) per point and mode: b where ``plus``, else b^dag."""
-    return np.stack((np.where(plus, u, v.conj()), np.where(plus, v, u.conj())),
-                    axis=-1)
-
-
-def _rhs_coeffs(w, cosd) -> np.ndarray:
-    """c N_b + 1/2 on (1, N, a^2, a^dag^2) per point and mode."""
-    return np.stack((1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1)
-
-
 @contextmanager
 def _finite():
     """Turn an overflow, or a result that is not a number, in the numpy
@@ -310,6 +302,19 @@ def _contract_outer(table: MomentTable, block: np.ndarray, rows: np.ndarray,
     return out
 
 
+def _sides(table: MomentTable, u, v, w, cosd, plus: np.ndarray,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<prod B(s)>, lhs = |<prod B(s)>|^2 and rhs at the ``_bogoliubov`` rows
+    (P, n) of the angles and the rows ``plus`` (s == 1) that broadcast
+    against them; rhs has the angles' rows. Callers hold it in ``_finite``."""
+    fwd = np.stack((np.where(plus, u, v.conj()), np.where(plus, v, u.conj())),
+                   axis=-1)
+    rhs = np.stack((1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1)
+    means = _contract(table, table.forward, fwd)
+    return (means, np.abs(means) ** 2,
+            _contract(table, table.rhs, rhs).real / cosd.prod(axis=-1))
+
+
 def sides_from_moments(table: MomentTable, thetas: np.ndarray,
                        deltas: np.ndarray, signs: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -317,23 +322,22 @@ def sides_from_moments(table: MomentTable, thetas: np.ndarray,
     batch of settings from one state's ``MomentTable``.
 
     ``thetas``, ``deltas`` and ``signs`` broadcast to a common shape (..., n),
-    so every settings row may carry its own signs; both sides have shape (...).
+    n the table's mode count, so every settings row may carry its own signs;
+    both sides have shape (...), bit for bit those ``cfrd_evaluate`` reports.
     """
-    thetas, deltas, signs = np.broadcast_arrays(thetas, deltas, signs)
-    if not np.all(np.abs(deltas) < math.pi / 2):
-        raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
-    if not np.all((signs == 1) | (signs == -1)):
-        raise SettingsError("signs must be +1 or -1")
+    try:
+        thetas, deltas, signs = np.broadcast_arrays(thetas, deltas, signs)
+    except ValueError:
+        raise SettingsError("thetas, deltas and signs do not broadcast") from None
+    n = table.forward.ndim if table.weights is None else table.forward.shape[1]
+    if thetas.shape[-1:] != (n,):
+        raise SettingsError("settings width does not match the table's modes")
+    _check_settings(thetas, deltas, signs)
     shape = thetas.shape[:-1]
-    n = thetas.shape[-1]
     thetas, deltas, plus = (a.reshape(-1, n) for a in (thetas, deltas, signs == 1))
-
-    u, v, w, cosd = _bogoliubov(thetas, deltas)
     with _finite():
-        fwd = _contract(table, table.forward, _forward_coeffs(u, v, plus))
-        rhs = _contract(table, table.rhs, _rhs_coeffs(w, cosd))
-        return ((np.abs(fwd) ** 2).reshape(shape),
-                (rhs.real / cosd.prod(axis=-1)).reshape(shape))
+        _, lhs, rhs = _sides(table, *_bogoliubov(thetas, deltas), plus)
+    return lhs.reshape(shape), rhs.reshape(shape)
 
 
 def two_mode_moment_table(state) -> np.ndarray:
@@ -356,13 +360,9 @@ def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
     """
     thetas = np.asarray(thetas, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
-    if np.any(np.abs(deltas) >= math.pi / 2):
-        raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
+    _check_settings(thetas, deltas, signs)
     u, v, w, cosd = _bogoliubov(thetas, deltas)
     t = table
-
-    if any(s not in (1, -1) for s in signs):
-        raise SettingsError(f"signs must be +1 or -1, got {signs}")
     (p1, q1), (p2, q2) = [(u[..., k], v[..., k]) if s == 1 else
                           (v[..., k].conj(), u[..., k].conj())
                           for k, s in enumerate(signs)]

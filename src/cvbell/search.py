@@ -150,8 +150,8 @@ def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         f = np.take_along_axis(f, order, axis=1)
         x = np.take_along_axis(x, order[:, :, None], axis=1)
         spread = f[:, -1] - f[:, 0]
-        if (spread.max() < SIMPLEX_FATOL
-                and np.abs(x - x[:, :1, :]).max(axis=(1, 2)).max() < SIMPLEX_XATOL):
+        if ((spread < SIMPLEX_FATOL).all()
+                and (np.abs(x - x[:, :1, :]) < SIMPLEX_XATOL).all()):
             break
 
         centroid = x[:, :-1, :].mean(axis=1)

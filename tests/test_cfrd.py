@@ -569,6 +569,61 @@ def test_moment_table_contraction_matches_cfrd_beta(state):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("state", _table_states())
+def test_cfrd_beta_is_the_report_beta_without_s_squared(state, monkeypatch):
+    from cvbell import cfrd
+
+    def forbidden(*args):
+        raise AssertionError("cfrd_beta expanded S^2")
+
+    for stg in _reference_settings(state.n_modes):
+        with monkeypatch.context() as patch:
+            patch.setattr(cfrd, "_contract_outer", forbidden)
+            beta = cfrd_beta(state, stg.thetas, stg.deltas, stg.signs)
+        assert beta == cfrd_evaluate(state, stg).beta
+
+
+@pytest.mark.parametrize("field, index, value", [
+    (1, 1, math.pi / 2), (1, 0, -math.pi / 2), (1, 1, math.nan),
+    (0, 0, math.nan), (0, 1, math.inf), (2, 1, 0)])
+def test_every_entry_point_rejects_the_same_settings(field, index, value):
+    # one rule set: finite thetas, |delta| < pi/2, s = +-1
+    from cvbell import beta_from_table
+    from cvbell.cfrd import moment_table, sides_from_moments
+
+    args = [[0.3, 0.5], [0.2, -0.1], [1, -1]]
+    args[field][index] = value
+    state = make_cat_family(2, 0.8, -1)
+    with pytest.raises(SettingsError):
+        _settings(*args)
+    with pytest.raises(SettingsError):
+        sides_from_moments(moment_table(state), *(np.array(x) for x in args))
+    with pytest.raises(SettingsError):
+        beta_from_table(two_mode_moment_table(state), np.array(args[0]),
+                        np.array(args[1]), args[2])
+
+
+@pytest.mark.parametrize("state", [make_cat_family(3, 0.8, -1),
+                                   random_state(ModeSpec(3, 4), "mixed", 2, 1)],
+                         ids=["structured", "dense"])
+def test_sides_reject_settings_of_another_width(state):
+    from cvbell.cfrd import moment_table, sides_from_moments
+
+    table = moment_table(state)
+    for width in (2, 4):
+        with pytest.raises(SettingsError):
+            sides_from_moments(table, np.full(width, 0.3), np.full(width, 0.2),
+                               np.ones(width))
+    with pytest.raises(SettingsError):  # widths that do not broadcast
+        sides_from_moments(table, np.zeros(3), np.zeros(2), np.ones(3))
+    with pytest.raises(SettingsError):
+        sides_from_moments(table, 0.3, 0.2, 1)
+    with pytest.raises(SettingsError):
+        cfrd_beta(state, [0.3] * 2, [0.2] * 2, [1, -1])
+    with pytest.raises(SettingsError):  # one settings: no broadcasting
+        cfrd_beta(state, [0.3] * 3, [0.2], [1, -1, 1])
+
+
 def test_moment_table_blocks_and_checks():
     from cvbell.cfrd import moment_table, sides_from_moments
 

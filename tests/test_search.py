@@ -90,6 +90,20 @@ def test_tmsv_two_modes_no_violation():
     assert res.report.beta <= 1e-9
 
 
+def test_optimizer_report_is_its_sides_bit_for_bit():
+    # the search ranks points by sides_from_moments and reports through
+    # cfrd_evaluate; both read one contraction, so the reported beta is the
+    # one sides_from_moments gives at the reported settings
+    from cvbell.cfrd import moment_table, sides_from_moments
+
+    state = make_cat_family(2, 0.9, -1)
+    report = optimize_settings(state, SettingsSearchSpec(n_modes=2, seed=1)).report
+    stg = report.settings
+    lhs, rhs = sides_from_moments(moment_table(state), stg.thetas, stg.deltas,
+                                  stg.signs)
+    assert (report.lhs, report.rhs, report.beta) == (lhs, rhs, lhs - rhs)
+
+
 def test_budget_exhaustion_flagged():
     state = random_state(ModeSpec(2, 6), "pure", headroom=3, seed=2)
     res = optimize_settings(state, SettingsSearchSpec(n_modes=2, restarts=50,
@@ -199,12 +213,9 @@ def test_scan_rejects_empty_alpha_grid():
 
 
 def test_scan_rows_equal_cfrd_evaluate_bit_for_bit():
-    # the scan's sides come from one contraction per alpha; each row must be
-    # the report of its own alpha and signs. The scan squares np.abs(<prod B>)
-    # and the report Python's abs(<prod B>), which may round an ulp apart
-    # when <prod B> is complex. At these real alphas every field agrees bit
-    # for bit; at the complex ones rhs does, and lhs, ratio and beta agree
-    # to 1e-15 of the functional's scale.
+    # the scan's sides come from one contraction per alpha, the one the
+    # report runs too; each row must be the report of its own alpha and
+    # signs, bit for bit, at real and complex alphas alike
     grids = [[0.3], [1.2], default_alpha_grid(5), [1.2 + 0.5j], [0.9j]]
     for sign in (1, -1):
         for grid in grids:
@@ -213,15 +224,8 @@ def test_scan_rows_equal_cfrd_evaluate_bit_for_bit():
                 rep = cfrd_evaluate(make_cat_family(n, row.alpha, sign),
                                     QuadratureSettings((0.0,) * n, (0.0,) * n,
                                                        row.signs))
-                got = (row.lhs, row.ratio, row.beta)
-                want = (rep.lhs, rep.lhs / rep.rhs, rep.beta)
-                assert row.rhs == rep.rhs
-                if row.alpha.imag == 0:
-                    assert got == want
-                else:
-                    big = max(rep.lhs, rep.rhs)
-                    scale = np.array([big, want[1], big])
-                    assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * scale)
+                assert (row.lhs, row.rhs, row.ratio, row.beta) == (
+                    rep.lhs, rep.rhs, rep.lhs / rep.rhs, rep.beta)
 
 
 def test_scan_phase_invariance():
@@ -383,6 +387,14 @@ def test_batch_sweep_matches_eager_oracle_bit_for_bit(monkeypatch):
     got = best_beta_two_mode_batch(tables, spec)
     monkeypatch.setattr(search, "batched_nelder_mead", eager_nelder_mead)
     assert np.array_equal(got, best_beta_two_mode_batch(tables, spec))
+
+
+def test_batch_sweep_of_no_states_is_empty():
+    from cvbell import best_beta_two_mode_batch
+
+    best = best_beta_two_mode_batch(np.zeros((0, 6, 6), complex),
+                                    SettingsSearchSpec(n_modes=2, restarts=1))
+    assert best.shape == (0,)
 
 
 def test_batch_sweep_matches_scalar_optimizer():
