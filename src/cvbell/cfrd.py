@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -64,15 +65,24 @@ class QuadratureSettings:
         return len(self.bipartition) in (0, self.n_modes)
 
 
+# The rules of every settings: finite thetas, |delta| < pi/2 (the endpoint
+# measures only one quadrature) and s = +-1. Each holds elementwise on a
+# scalar and on an array alike.
+_SETTINGS_RULES = (
+    (lambda theta: abs(theta) < math.inf, "thetas must be finite"),
+    (lambda delta: abs(delta) < math.pi / 2,
+     "|delta| must stay strictly inside (-pi/2, pi/2)"),
+    (lambda s: (s == 1) | (s == -1), "signs must be +1 or -1"),
+)
+
+
 def _check_settings(thetas, deltas, signs) -> None:
-    """The rules of every settings: finite thetas, |delta| < pi/2 (the
-    endpoint measures only one quadrature) and s = +-1."""
-    if not np.isfinite(thetas).all():
-        raise SettingsError("thetas must be finite")
-    if not (np.abs(deltas) < math.pi / 2).all():
-        raise SettingsError("|delta| must stay strictly inside (-pi/2, pi/2)")
-    if not ((np.asarray(signs) == 1) | (np.asarray(signs) == -1)).all():
-        raise SettingsError("signs must be +1 or -1")
+    """Apply ``_SETTINGS_RULES`` to a numpy array at once, and to any other
+    sequence value by value, which is cheaper than converting a short one."""
+    for values, (rule, message) in zip((thetas, deltas, signs), _SETTINGS_RULES):
+        if not (rule(values).all() if isinstance(values, np.ndarray)
+                else all(map(rule, values))):
+            raise SettingsError(message)
 
 
 def mode_transform(settings: QuadratureSettings,
@@ -174,7 +184,7 @@ def cfrd_beta(state, thetas: Sequence[float], deltas: Sequence[float],
 # (q, p) of each a^dag^q a^p, in two_mode_moment_table's order; block indices
 _TABLE_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 _MONOMIALS = tuple(NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS)
-_FORWARD, _RHS = [1, 2], [0, 3, 4, 5]
+_FORWARD, _RHS = (1, 2), (0, 3, 4, 5)
 # entries of the largest contraction intermediate per chunk of points;
 # bounds memory when a simplex or many settings ask for many points
 _CONTRACT_BATCH_ENTRIES = 1 << 16
@@ -196,7 +206,18 @@ class MomentTable:
     rhs: np.ndarray
 
 
-def _dense_moments(state: DenseState, picks: Sequence[int]) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _monomial_stack(s: int, picks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The m monomial matrices of ``picks`` on s levels, stacked (m, s, s),
+    and laid out [(ket, bra), m]; both read-only, shared by every call."""
+    mats = np.stack([monomial_matrix(s, *_TABLE_EXPONENTS[i]) for i in picks])
+    flat = mats.transpose(2, 1, 0).reshape(s * s, len(picks))
+    for a in (mats, flat):
+        a.flags.writeable = False
+    return mats, flat
+
+
+def _dense_moments(state: DenseState, picks: tuple[int, ...]) -> np.ndarray:
     """The tensor (m,)*n of <prod_k monomial_{picks[m_k]}> on the support
     lattice, one product with the m monomial matrices per mode. A pure state
     never forms its density matrix: the matrices act on the ket of its first
@@ -204,7 +225,7 @@ def _dense_moments(state: DenseState, picks: Sequence[int]) -> np.ndarray:
     m^h s^n and the remaining m^h s^(2(n-h)) entries stay fewest."""
     sup = state.support
     n, s, m = sup.n_modes, sup.cutoff, len(picks)
-    mats = np.stack([monomial_matrix(s, *_TABLE_EXPONENTS[i]) for i in picks])
+    mats, flat = _monomial_stack(s, picks)
     if sup.kind == "pure":  # acc[m^h, ket, bra] over modes h..n-1
         h = min(range(1, n + 1), key=lambda h: m ** h * (s ** n + s ** (2 * n - 2 * h)))
         ket = sup.array  # [applied m, applied levels, rest] once reshaped
@@ -214,7 +235,6 @@ def _dense_moments(state: DenseState, picks: Sequence[int]) -> np.ndarray:
             s ** h, -1).conj()
     else:
         acc = sup.array[None]
-    flat = mats.transpose(2, 1, 0).reshape(s * s, m)  # [(ket, bra), m]
     while acc.shape[-1] > 1:
         rest = acc.shape[-1] // s
         acc = acc.reshape(-1, s, rest, s, rest).transpose(0, 2, 4, 1, 3)
@@ -348,7 +368,7 @@ def two_mode_moment_table(state) -> np.ndarray:
     if isinstance(state, StructuredState):
         weights, e = term_pair_elements(state, _MONOMIALS)
         return np.einsum("p,pi,pj->ij", weights, e[:, 0], e[:, 1])
-    return _dense_moments(state, range(6))
+    return _dense_moments(state, tuple(range(6)))
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,

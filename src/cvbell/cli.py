@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="maximize beta over settings")
     p_opt.add_argument("state_spec")
     p_opt.add_argument("--restarts", type=int, default=4,
-                       help="simplex restarts per bipartition")
+                       help="seeded ascent starts per bipartition")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--max-evals", type=int, default=20000)
     p_opt.set_defaults(func=cmd_optimize)

@@ -3,8 +3,14 @@
 The settings space mixes a discrete part (the per-mode sign choices) with a
 continuous box over (theta, delta). beta is even in the signs, so the
 discrete part is one sign pattern per nontrivial bipartition, the one with
-s_0 = +1; the continuous part runs seeded Nelder-Mead restarts on each. The
-delta box stays strictly inside (-pi/2, pi/2) to avoid the 1/cos blow-up.
+s_0 = +1; the continuous part runs an exact block-coordinate ascent from
+seeded starts on each. With the other angles fixed, beta is a + Re(b e^{2i
+theta_k}) in each theta_k and beta cos(delta_k) is a degree-2 trigonometric
+polynomial in each delta_k, so each coordinate step has a closed-form
+maximizer. The delta box stays strictly inside (-pi/2, pi/2) to avoid the
+1/cos blow-up. ``batched_nelder_mead`` is a batched box-constrained simplex
+that no search calls; it stays importable because ``perfbench/spans.py``
+traces it.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ SIMPLEX_XATOL = 1e-6
 
 @dataclass(frozen=True)
 class SettingsSearchSpec:
-    """Search effort: ``restarts`` seeded simplexes per nontrivial bipartition,
-    at most ``max_evals`` beta evaluations in all."""
+    """Search effort: ``restarts`` seeded ascent starts per nontrivial
+    bipartition, at most ``max_evals`` beta evaluations in all."""
     n_modes: int
     restarts: int = 4
     seed: int = 0
@@ -69,52 +75,145 @@ def _box(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
-    """Maximize beta over bipartitions and angles (Nelder-Mead restarts).
+    """Maximize beta over bipartitions and angles by exact coordinate ascent.
 
-    Every (sign pattern, restart) pair is one problem of a single batched
-    simplex. Its objective, rhs - lhs = -beta, contracts the state's
-    ``moment_table`` in one ``sides_from_moments`` call per step, each row
-    with its own signs. Points past the ``max_evals``-th read +inf, which
-    the simplex never accepts, and the search ends at the first reflection
-    call made wholly past the budget. Only as many problems start as the
-    budget can give a whole initial simplex, so every problem keeps a finite
-    best vertex.
+    Every (sign pattern, restart) pair is one problem of a single ``_ascend``
+    call, from seeded starts in the ``_box``. Its objective contracts the
+    state's ``moment_table`` in one ``sides_from_moments`` call per step, each
+    row with its own signs. ``max_evals`` caps the evaluations: only as many
+    problems start as it can evaluate once, and the ascent stops before a
+    step it cannot pay for, which sets ``budget_exhausted``.
     """
     n = spec.n_modes
     if n != state.n_modes:
         raise ValueError("search spec mode count does not match state")
     signs = list(_sign_assignments(n))
-    problems = min(len(signs) * spec.restarts,
-                   max(1, spec.max_evals // (2 * n + 1)))
+    problems = min(len(signs) * spec.restarts, spec.max_evals)
     lo, hi = _box(n)
     rng = np.random.default_rng(spec.seed)
     x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
-    row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems]
+    row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems, None]
     table = moment_table(state)
-    evals = 0
-    exhausted = False
 
-    def objective(rows, x):
-        nonlocal evals, exhausted
-        k = x.shape[1]
-        # points in row-then-point order; those past the budget read +inf
-        count = min(len(x) * k, spec.max_evals - evals)
-        exhausted |= count < len(x) * k
-        evals += count
-        out = np.full(len(x) * k, np.inf)
-        points = x.reshape(-1, 2 * n)[:count]
-        lhs, rhs = sides_from_moments(table, points[:, :n], points[:, n:],
-                                      np.repeat(row_signs[rows], k, axis=0)[:count])
-        out[:count] = rhs - lhs
-        return out.reshape(len(x), k)
+    def beta(rows, x):
+        lhs, rhs = sides_from_moments(table, x[..., :n], x[..., n:], row_signs[rows])
+        return lhs - rhs
 
-    xbest, fbest = batched_nelder_mead(objective, x0, lo, hi)
-    best = int(np.argmin(fbest))
-    point = xbest[best].tolist()
+    x, f, evals, exhausted = _ascend(beta, x0, n, spec.max_evals)
+    best = int(np.argmax(f))
+    point = x[best].tolist()
     settings = QuadratureSettings(tuple(point[:n]), tuple(point[n:]),
                                   signs[best // spec.restarts])
     return OptimizeResult(report=cfrd_evaluate(state, settings),
                           evaluations=evals, budget_exhausted=exhausted)
+
+
+# The ascent's two exact steps on one mode k, all else fixed:
+#   - beta = a + Re(b e^{2i theta_k}): u does not read theta, v ~ e^{2i theta}
+#     and w ~ e^{-2i theta}, so lhs = |F|^2 with F affine in one of e^{+-2i
+#     theta_k}, and rhs is affine in both. Three values a third of a turn
+#     apart in 2 theta_k give b;
+#   - beta cos(delta_k) = c . (1, cos, sin, cos 2, sin 2)(delta_k): u and v
+#     carry 1/sqrt(cos delta) and w ~ 1 - e^{-2i delta}. Five values fix c.
+_THETA_PROBES = np.array([math.pi / 3, 2 * math.pi / 3])
+_DELTA_PROBES = np.array([0.0, -0.6, 0.6, -1.2, 1.2])
+# a sweep that raises a problem's beta by no more than this, relative to
+# max(1, |beta|), ends its ascent
+ASCENT_RTOL = 1e-12
+ASCENT_SWEEPS = 100
+# beta cos(delta) / cos(delta) has at most three maxima on the box; its
+# best point on this grid seeds Newton steps on the stationary equation
+_DELTA_GRID_POINTS = 129
+_NEWTON_STEPS = 4
+
+
+def _trig_basis(deltas: np.ndarray) -> np.ndarray:
+    return np.stack((np.ones_like(deltas), np.cos(deltas), np.sin(deltas),
+                     np.cos(2 * deltas), np.sin(2 * deltas)), axis=-1)
+
+
+_DELTA_FIT = np.linalg.inv(_trig_basis(_DELTA_PROBES))
+_DELTA_GRID = np.linspace(-math.pi / 2 + DELTA_MARGIN, math.pi / 2 - DELTA_MARGIN,
+                          _DELTA_GRID_POINTS)
+_DELTA_GRID_BASIS = _trig_basis(_DELTA_GRID) / np.cos(_DELTA_GRID)[:, None]
+
+
+def _theta_step(probe, theta, current):
+    """theta maximizing a + Re(b e^{2i theta}), from the values at theta
+    (``current``) and at theta + _THETA_PROBES."""
+    b = current + probe(theta[:, None] + _THETA_PROBES) @ np.exp(-2j * _THETA_PROBES)
+    return (theta - np.angle(b) / 2) % (2 * math.pi)
+
+
+def _delta_step(probe, delta, _current):
+    """delta maximizing P(delta) / cos(delta) on the box, P fitted to beta
+    cos(delta) at _DELTA_PROBES. The stationary points solve
+    g = P' cos + P sin = 0, where g' = (P + P'') cos; Newton's steps on g
+    start at the grid's best point and are kept only where they end higher."""
+    values = probe(np.broadcast_to(_DELTA_PROBES, (len(delta), len(_DELTA_PROBES))))
+    c = (values * np.cos(_DELTA_PROBES)) @ _DELTA_FIT.T
+    start = _DELTA_GRID[np.argmax(c @ _DELTA_GRID_BASIS.T, axis=1)]
+    c0, _, c2, c3, c4 = c.T
+    d = start
+    for _ in range(_NEWTON_STEPS):
+        sin, cos = np.sin(d), np.cos(d)
+        g = (c2 + c0 * sin - 0.5 * c3 * (np.sin(3 * d) + 3 * sin)
+             + 0.5 * c4 * (np.cos(3 * d) + 3 * cos))
+        slope = (c0 - 3 * c3 * np.cos(2 * d) - 3 * c4 * np.sin(2 * d)) * cos
+        # a step only where g falls, i.e. towards a maximum
+        d = np.clip(d - g / np.where(slope < 0, slope, -np.inf),
+                    _DELTA_GRID[0], _DELTA_GRID[-1])
+
+    def model(d):
+        return (_trig_basis(d) * c).sum(axis=-1) / np.cos(d)
+
+    return np.where(model(d) >= model(start), d, start)
+
+
+def _ascend(fn, x: np.ndarray, n: int, max_evals: float = math.inf):
+    """Maximize many problems over their (thetas, deltas), x of shape
+    (P, 2n), by exact block-coordinate ascent.
+
+    ``fn(rows, x)`` evaluates beta for the problems ``rows`` (an index
+    array) at points ``x`` of shape (len(rows), k, 2n) and returns
+    (len(rows), k) values. A sweep takes each mode's theta step (2 probes)
+    and delta step (5 probes), each followed by one evaluation at its
+    candidate, which is kept only if beta has not fallen; so beta never
+    falls. A problem stops after a sweep that raises its beta by at most
+    ``ASCENT_RTOL * max(1, |beta|)``, and all stop after ``ASCENT_SWEEPS``.
+    The ascent also stops before a step whose evaluations would pass
+    ``max_evals``. Returns the points, their beta, the evaluations made and
+    whether ``max_evals`` stopped the ascent.
+    """
+    x = np.array(x, dtype=float)
+    rows = np.arange(len(x))
+    f = fn(rows, x[:, None])[:, 0]
+    evals = len(x)
+    steps = [(col, step, len(probes) + 1) for k in range(n) for col, step, probes
+             in ((k, _theta_step, _THETA_PROBES), (n + k, _delta_step, _DELTA_PROBES))]
+    for _ in range(ASCENT_SWEEPS):
+        before = f[rows]
+        for col, step, cost in steps:
+            if evals + cost * len(rows) > max_evals:
+                return x, f, evals, True
+            evals += cost * len(rows)
+            here = x[rows]
+
+            def probe(points):
+                at = np.repeat(here[:, None], points.shape[1], axis=1)
+                at[..., col] = points
+                return fn(rows, at)
+
+            candidate = here.copy()
+            candidate[:, col] = step(probe, here[:, col], f[rows])
+            value = fn(rows, candidate[:, None])[:, 0]
+            keep = value >= f[rows]
+            x[rows[keep]] = candidate[keep]
+            f[rows[keep]] = value[keep]
+        rows = rows[f[rows] - before > ASCENT_RTOL * np.maximum(1.0, np.abs(f[rows]))]
+        if rows.size == 0:
+            break
+    return x, f, evals, False
 
 
 def batched_nelder_mead(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -203,9 +302,10 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     """Per-state maximal beta over settings for a batch of two-mode states.
 
     ``tables`` stacks ``two_mode_moment_table`` outputs, shape (batch, 6, 6).
-    Mirrors ``optimize_settings`` (seeded simplex restarts on the one
+    Mirrors ``optimize_settings`` (seeded ascent starts on the one
     nontrivial bipartition, signs (1, -1)) but runs every state in one
-    vectorized pass, one simplex per restart. It reads only ``n_modes``,
+    vectorized ascent per start; the starts run one at a time, which keeps
+    the working memory that of one start. It reads only ``n_modes``,
     ``restarts`` and ``seed`` of ``spec``; ``max_evals`` is not applied.
     """
     if spec.n_modes != 2:
@@ -215,14 +315,13 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     lo, hi = _box(2)
     [signs] = _sign_assignments(2)
 
-    def objective(rows, x):
-        return -beta_from_table(tables[rows, None], x[..., :2], x[..., 2:], signs)
+    def beta(rows, x):
+        return beta_from_table(tables[rows, None], x[..., :2], x[..., 2:], signs)
 
     best = np.full(batch, -np.inf)
     for _ in range(spec.restarts):
         x0 = lo + rng.random((batch, 4)) * (hi - lo)
-        _, fbest = batched_nelder_mead(objective, x0, lo, hi)
-        best = np.maximum(best, -fbest)
+        best = np.maximum(best, _ascend(beta, x0, 2)[1])
     return best
 
 

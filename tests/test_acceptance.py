@@ -151,7 +151,7 @@ def test_criterion_4_two_mode_no_violation():
                                  tuple(int(s) for s in rng.choice([1, -1], 2)))
         res = two_mode_bound(state, stg)
         worst_excess = max(worst_excess, res.beta2 - res.bound)
-    # 20 seeded simplex restarts on the one nontrivial split, signs (1, -1);
+    # 20 seeded ascent starts on the one nontrivial split, signs (1, -1);
     # (-1, 1) gives the same beta
     spec = SettingsSearchSpec(n_modes=2, restarts=20, seed=SUITE_SEED)
     best = best_beta_two_mode_batch(tables, spec)

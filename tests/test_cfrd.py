@@ -583,6 +583,62 @@ def test_cfrd_beta_is_the_report_beta_without_s_squared(state, monkeypatch):
         assert beta == cfrd_evaluate(state, stg).beta
 
 
+def _one_coordinate_sweeps(state, column, values):
+    """beta at the first _reference_settings with one coordinate (theta_k
+    for column k, delta_k for column n + k) set to each of ``values``, for
+    every k: shape (n, len(values))."""
+    from cvbell.cfrd import moment_table, sides_from_moments
+
+    n = state.n_modes
+    stg = _reference_settings(n)[0]
+    x = np.tile(np.array(stg.thetas + stg.deltas), (n, len(values), 1))
+    for k in range(n):
+        x[k, :, column(k, n)] = values
+    lhs, rhs = sides_from_moments(moment_table(state), x[..., :n], x[..., n:],
+                                  stg.signs)
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("state", _table_states())
+def test_beta_has_degree_one_in_each_twice_theta(state):
+    # beta = a + Re(b e^{2i theta_k}) with the rest fixed: the search's theta
+    # step reads a and b from three values
+    phis = np.arange(16) * (2 * math.pi / 16)
+    beta = _one_coordinate_sweeps(state, lambda k, n: k, phis / 2)
+    spectrum = np.fft.fft(beta, axis=1) / len(phis)
+    assert np.abs(spectrum[:, 2:-1]).max() <= 1e-12 * np.abs(beta).max()
+
+
+@pytest.mark.parametrize("state", _table_states())
+def test_beta_cos_delta_has_degree_two_in_each_delta(state):
+    # beta cos(delta_k) = c . (1, cos, sin, cos 2, sin 2)(delta_k) with the
+    # rest fixed: the search's delta step fits c to five values
+    deltas = np.linspace(-DELTA_EDGE, DELTA_EDGE, 17)
+    beta = _one_coordinate_sweeps(state, lambda k, n: n + k, deltas)
+    basis = np.stack([np.ones_like(deltas), np.cos(deltas), np.sin(deltas),
+                      np.cos(2 * deltas), np.sin(2 * deltas)], axis=1)
+    poly = beta * np.cos(deltas)
+    fit, *_ = np.linalg.lstsq(basis, poly.T, rcond=None)
+    assert np.abs(basis @ fit - poly.T).max() <= 1e-12 * np.abs(beta).max()
+
+
+def test_dense_tables_share_read_only_monomial_stacks():
+    # every dense table on s levels reads one cached stack per block, which
+    # no caller can write into
+    from cvbell.cfrd import _monomial_stack, moment_table
+
+    state = random_state(ModeSpec(2, 6), "mixed", headroom=3, seed=1)
+    first = moment_table(state)
+    mats, flat = _monomial_stack(3, (1, 2))
+    for shared in (mats, flat):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    again = moment_table(state)
+    assert _monomial_stack(3, (1, 2))[0] is mats
+    assert np.array_equal(first.forward, again.forward)
+    assert np.array_equal(first.rhs, again.rhs)
+
+
 @pytest.mark.parametrize("field, index, value", [
     (1, 1, math.pi / 2), (1, 0, -math.pi / 2), (1, 1, math.nan),
     (0, 0, math.nan), (0, 1, math.inf), (2, 1, 0)])
