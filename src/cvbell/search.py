@@ -132,7 +132,6 @@ def _trig_basis(deltas: np.ndarray) -> np.ndarray:
                      np.cos(2 * deltas), np.sin(2 * deltas)), axis=-1)
 
 
-_DELTA_FIT = np.linalg.inv(_trig_basis(_DELTA_PROBES))
 _DELTA_GRID = np.linspace(-math.pi / 2 + DELTA_MARGIN, math.pi / 2 - DELTA_MARGIN,
                           _DELTA_GRID_POINTS)
 _DELTA_GRID_BASIS = _trig_basis(_DELTA_GRID) / np.cos(_DELTA_GRID)[:, None]
@@ -145,13 +144,32 @@ def _theta_step(probe, theta, current):
     return (theta - np.angle(b) / 2) % (2 * math.pi)
 
 
+def _delta_coefficients(p: np.ndarray) -> np.ndarray:
+    """c with P = c . (1, cos, sin, cos 2, sin 2), from P at the probes
+    (0, -a, a, -2a, 2a) of _DELTA_PROBES, one row per problem.
+
+    With x = cos(delta), P = Q(x) + sin(delta) L(x), where
+    Q = c0 - c3 + c1 x + 2 c3 x^2 and L = c2 + 2 c4 x. The even parts of the
+    values are Q at x = 1, cos a, cos 2a and the odd parts give L at cos a,
+    cos 2a, so divided differences fix both.
+    """
+    (x0, x1, x2), (s1, s2) = np.cos(_DELTA_PROBES[::2]), np.sin(_DELTA_PROBES[2::2])
+    q0, q1, q2 = p[:, 0], (p[:, 1] + p[:, 2]) / 2, (p[:, 3] + p[:, 4]) / 2
+    l1, l2 = (p[:, 2] - p[:, 1]) / (2 * s1), (p[:, 4] - p[:, 3]) / (2 * s2)
+    q01 = (q1 - q0) / (x1 - x0)
+    q012 = ((q2 - q1) / (x2 - x1) - q01) / (x2 - x0)
+    l12 = (l2 - l1) / (x2 - x1)
+    return np.stack((q0 - q01 * x0 + q012 * (x0 * x1 + 0.5), q01 - q012 * (x0 + x1),
+                     l1 - l12 * x1, 0.5 * q012, 0.5 * l12), axis=-1)
+
+
 def _delta_step(probe, delta, _current):
     """delta maximizing P(delta) / cos(delta) on the box, P fitted to beta
     cos(delta) at _DELTA_PROBES. The stationary points solve
     g = P' cos + P sin = 0, where g' = (P + P'') cos; Newton's steps on g
     start at the grid's best point and are kept only where they end higher."""
     values = probe(np.broadcast_to(_DELTA_PROBES, (len(delta), len(_DELTA_PROBES))))
-    c = (values * np.cos(_DELTA_PROBES)) @ _DELTA_FIT.T
+    c = _delta_coefficients(values * np.cos(_DELTA_PROBES))
     start = _DELTA_GRID[np.argmax(c @ _DELTA_GRID_BASIS.T, axis=1)]
     c0, _, c2, c3, c4 = c.T
     d = start
@@ -189,6 +207,8 @@ def _ascend(fn, x: np.ndarray, n: int, max_evals: float = math.inf):
     rows = np.arange(len(x))
     f = fn(rows, x[:, None])[:, 0]
     evals = len(x)
+    # mode by mode, its theta step and then its delta step: (column, step,
+    # evaluations per problem)
     steps = [(col, step, len(probes) + 1) for k in range(n) for col, step, probes
              in ((k, _theta_step, _THETA_PROBES), (n + k, _delta_step, _DELTA_PROBES))]
     for _ in range(ASCENT_SWEEPS):
