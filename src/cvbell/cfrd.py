@@ -186,7 +186,7 @@ _TABLE_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 _MONOMIALS = tuple(NormalOrderedPoly({qp: 1.0}) for qp in _TABLE_EXPONENTS)
 _FORWARD, _RHS = (1, 2), (0, 3, 4, 5)
 # entries of the largest contraction intermediate per chunk of points;
-# bounds memory when a simplex or many settings ask for many points
+# bounds memory when a search or many settings ask for many points
 _CONTRACT_BATCH_ENTRIES = 1 << 16
 
 

@@ -81,8 +81,8 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     call, from seeded starts in the ``_box``. Its objective contracts the
     state's ``moment_table`` in one ``sides_from_moments`` call per step, each
     row with its own signs. ``max_evals`` caps the evaluations: only as many
-    problems start as it can evaluate once, and the ascent stops before a
-    step it cannot pay for, which sets ``budget_exhausted``.
+    problems start as it can evaluate once, and the ascent ends at the step
+    it cannot pay for in full, which sets ``budget_exhausted``.
     """
     n = spec.n_modes
     if n != state.n_modes:
@@ -199,9 +199,10 @@ def _ascend(fn, x: np.ndarray, n: int, max_evals: float = math.inf):
     candidate, which is kept only if beta has not fallen; so beta never
     falls. A problem stops after a sweep that raises its beta by at most
     ``ASCENT_RTOL * max(1, |beta|)``, and all stop after ``ASCENT_SWEEPS``.
-    The ascent also stops before a step whose evaluations would pass
-    ``max_evals``. Returns the points, their beta, the evaluations made and
-    whether ``max_evals`` stopped the ascent.
+    A step whose evaluations would pass ``max_evals`` covers only the first
+    problems the rest of the budget pays for, and ends the ascent. Returns
+    the points, their beta, the evaluations made and whether ``max_evals``
+    stopped the ascent.
     """
     x = np.array(x, dtype=float)
     rows = np.arange(len(x))
@@ -214,22 +215,25 @@ def _ascend(fn, x: np.ndarray, n: int, max_evals: float = math.inf):
     for _ in range(ASCENT_SWEEPS):
         before = f[rows]
         for col, step, cost in steps:
-            if evals + cost * len(rows) > max_evals:
+            part = rows[:int(min(len(rows), (max_evals - evals) // cost))]
+            if part.size == 0:
                 return x, f, evals, True
-            evals += cost * len(rows)
-            here = x[rows]
+            evals += cost * len(part)
+            here = x[part]
 
             def probe(points):
                 at = np.repeat(here[:, None], points.shape[1], axis=1)
                 at[..., col] = points
-                return fn(rows, at)
+                return fn(part, at)
 
             candidate = here.copy()
-            candidate[:, col] = step(probe, here[:, col], f[rows])
-            value = fn(rows, candidate[:, None])[:, 0]
-            keep = value >= f[rows]
-            x[rows[keep]] = candidate[keep]
-            f[rows[keep]] = value[keep]
+            candidate[:, col] = step(probe, here[:, col], f[part])
+            value = fn(part, candidate[:, None])[:, 0]
+            keep = value >= f[part]
+            x[part[keep]] = candidate[keep]
+            f[part[keep]] = value[keep]
+            if part.size < rows.size:
+                return x, f, evals, True
         rows = rows[f[rows] - before > ASCENT_RTOL * np.maximum(1.0, np.abs(f[rows]))]
         if rows.size == 0:
             break

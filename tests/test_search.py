@@ -138,6 +138,9 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
         res = optimize_settings(state, dataclasses.replace(spec, max_evals=cap))
         assert points == res.evaluations <= cap
         assert res.budget_exhausted == (cap < used)
+        # the last step covers the problems the rest of the budget pays for,
+        # so less than one problem's step (at most 6 evaluations) is left
+        assert cap - res.evaluations < 6
         assert math.isfinite(res.report.beta)
         if cap == used:
             assert res.report == free.report
