@@ -116,9 +116,9 @@ def test_budget_exhaustion_flagged():
 
 
 def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
-    # evaluations counts every point the search contracts; the cap stops the
-    # ascent before a step it cannot pay for, and only then is the budget
-    # flagged as exhausted
+    # evaluations counts every point the search contracts; the cap ends the
+    # ascent at the step it cannot pay for in full, and only then is the
+    # budget flagged as exhausted
     points = 0
     real = search.sides_from_moments
 
@@ -413,8 +413,8 @@ def test_simplex_matches_eager_oracle_bit_for_bit(problem):
 
 
 def test_batch_sweep_never_worse_than_the_simplex():
-    # each state's best beta is at least the best of the simplexes the batch
-    # ran before, from the same seeded starts
+    # each state's best beta is at least the best of a simplex run from the
+    # same seeded starts
     from cvbell import best_beta_two_mode_batch
 
     tables = _two_mode_tables(64, seed=31)
@@ -431,7 +431,7 @@ def test_batch_sweep_never_worse_than_the_simplex():
 
 def test_batch_sweep_runs_one_start_at_a_time():
     # the starts of a state are never tiled into one ascent: 1000 states at
-    # 10 starts stay within a few megabytes, where tiling takes about 28
+    # 10 starts stay within a few megabytes, where tiling takes about 28 MB
     from cvbell import best_beta_two_mode_batch
 
     tables = np.tile(_two_mode_tables(100, seed=5), (10, 1, 1))
