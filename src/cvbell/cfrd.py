@@ -322,17 +322,57 @@ def _contract_outer(table: MomentTable, block: np.ndarray, rows: np.ndarray,
     return out
 
 
+def _block_rows(u, v, w, cosd, plus: np.ndarray):
+    """Per-mode rows of B(s) on (a, a^dag) and of c N_b + 1/2 on (1, N, a^2,
+    a^dag^2) at the ``_bogoliubov`` rows (P, n) and the rows ``plus``
+    (s == 1) that broadcast against them."""
+    return (np.stack((np.where(plus, u, v.conj()), np.where(plus, v, u.conj())),
+                     axis=-1),
+            np.stack((1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1))
+
+
 def _sides(table: MomentTable, u, v, w, cosd, plus: np.ndarray,
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<prod B(s)>, lhs = |<prod B(s)>|^2 and rhs at the ``_bogoliubov`` rows
     (P, n) of the angles and the rows ``plus`` (s == 1) that broadcast
     against them; rhs has the angles' rows. Callers hold it in ``_finite``."""
-    fwd = np.stack((np.where(plus, u, v.conj()), np.where(plus, v, u.conj())),
-                   axis=-1)
-    rhs = np.stack((1.0 - 0.5 * cosd, np.ones_like(w), w, w.conj()), axis=-1)
+    fwd, rhs = _block_rows(u, v, w, cosd, plus)
     means = _contract(table, table.forward, fwd)
     return (means, np.abs(means) ** 2,
             _contract(table, table.rhs, rhs).real / cosd.prod(axis=-1))
+
+
+def _open_mode(table, thetas: np.ndarray, deltas: np.ndarray, plus: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides at the settings rows (P, n) with mode k left open: F (P, 2)
+    on mode k's (a, a^dag), G (P, 4) on its (1, N, a^2, a^dag^2) and
+    r = prod_{j != k} cos delta_j (P,), so that
+
+        beta = |u_k F_0 + v_k F_1|^2
+               - Re[(1 - c_k/2) G_0 + G_1 + w_k G_2 + w_k* G_3] / (c_k r).
+
+    Where s_k = -1, B(-1) = (v*, u*) on (a, a^dag) reads F as (F_1*, F_0*).
+    ``table`` is a ``MomentTable``, contracted at mode k's unit rows (2
+    forward and 4 rhs points per row), or a pair of per-row two-mode blocks
+    (P, 2, 2) and (P, 4, 4), as ``_two_mode_blocks`` slices them.
+    """
+    dense_or_pairs = isinstance(table, MomentTable)
+
+    def contract(block, coeffs):
+        if not dense_or_pairs:  # mode 1 - k contracts, mode k stays open
+            block = block if k == 0 else block.swapaxes(1, 2)
+            return (block @ coeffs[:, 1 - k, :, None])[..., 0]
+        points, n, m = coeffs.shape
+        coeffs = np.repeat(coeffs[:, None], m, axis=1)
+        coeffs[:, :, k] = np.eye(m)
+        return _contract(table, block, coeffs.reshape(-1, n, m)).reshape(points, m)
+
+    with _finite():
+        bogo = _bogoliubov(thetas, deltas)
+        forward, rhs = map(contract, (table.forward, table.rhs) if dense_or_pairs
+                           else table, _block_rows(*bogo, plus))
+        forward = np.where(plus[:, k, None], forward, forward[:, ::-1].conj())
+    return forward, rhs, np.delete(bogo[3], k, axis=1).prod(axis=1)
 
 
 def sides_from_moments(table: MomentTable, thetas: np.ndarray,
@@ -369,6 +409,13 @@ def two_mode_moment_table(state) -> np.ndarray:
         weights, e = term_pair_elements(state, _MONOMIALS)
         return np.einsum("p,pi,pj->ij", weights, e[:, 0], e[:, 1])
     return _dense_moments(state, tuple(range(6)))
+
+
+def _two_mode_blocks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The {a, a^dag} block (..., 2, 2) and the {1, N, a^2, a^dag^2} block
+    (..., 4, 4) of stacked ``two_mode_moment_table`` outputs (..., 6, 6)."""
+    return (tables[..., 1:3, 1:3],
+            tables[..., _RHS, :][..., _RHS])
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,

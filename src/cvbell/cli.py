@@ -329,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--restarts", type=int, default=4,
                        help="seeded ascent starts per bipartition")
     p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--max-evals", type=int, default=20000)
+    p_opt.add_argument("--max-evals", type=int, default=20000,
+                       help="cap on evaluations: one is one start's beta at "
+                       "one point or its contraction with one mode left open; "
+                       "each mode step of the ascent costs 2")
     p_opt.set_defaults(func=cmd_optimize)
 
     return parser

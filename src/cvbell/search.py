@@ -4,11 +4,13 @@ The settings space mixes a discrete part (the per-mode sign choices) with a
 continuous box over (theta, delta). beta is even in the signs, so the
 discrete part is one sign pattern per nontrivial bipartition, the one with
 s_0 = +1; the continuous part runs an exact block-coordinate ascent from
-seeded starts on each. With the other angles fixed, beta is a + Re(b e^{2i
-theta_k}) in each theta_k and beta cos(delta_k) is a degree-2 trigonometric
-polynomial in each delta_k, so each coordinate step has a closed-form
-maximizer. The delta box stays strictly inside (-pi/2, pi/2) to avoid the
-1/cos blow-up. ``batched_nelder_mead`` is a batched box-constrained simplex
+seeded starts on each. With the other modes fixed, beta reads mode k only
+through one contraction of the moment table that leaves mode k open
+(``cfrd._open_mode``): from it, beta is a + Re(b e^{2i theta_k}) in each
+theta_k and A / cos + B + C cos + D sin in each delta_k, with every
+coefficient in closed form, so each mode step has an exact maximizer and
+needs no probe. The delta box stays strictly inside (-pi/2, pi/2) to avoid
+the 1/cos blow-up. ``batched_nelder_mead`` is a batched box-constrained simplex
 that no search calls; it stays importable because ``perfbench/spans.py``
 traces it.
 """
@@ -22,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrd import (CfrdReport, QuadratureSettings, beta_from_table,
-                   cfrd_evaluate, moment_table, sides_from_moments)
+from .cfrd import (CfrdReport, QuadratureSettings, _finite, _open_mode,
+                   _two_mode_blocks, beta_from_table, cfrd_evaluate,
+                   moment_table, sides_from_moments)
 from .structured import make_cat_family
 
 DELTA_MARGIN = 0.05
@@ -34,7 +37,9 @@ SIMPLEX_XATOL = 1e-6
 @dataclass(frozen=True)
 class SettingsSearchSpec:
     """Search effort: ``restarts`` seeded ascent starts per nontrivial
-    bipartition, at most ``max_evals`` beta evaluations in all."""
+    bipartition, at most ``max_evals`` evaluations in all. An evaluation is
+    one problem's beta at one point, or one problem's open contraction of a
+    mode (``cfrd._open_mode``); each mode step costs 2."""
     n_modes: int
     restarts: int = 4
     seed: int = 0
@@ -78,11 +83,12 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     """Maximize beta over bipartitions and angles by exact coordinate ascent.
 
     Every (sign pattern, restart) pair is one problem of a single ``_ascend``
-    call, from seeded starts in the ``_box``. Its objective contracts the
-    state's ``moment_table`` in one ``sides_from_moments`` call per step, each
-    row with its own signs. ``max_evals`` caps the evaluations: only as many
-    problems start as it can evaluate once, and the ascent ends at the step
-    it cannot pay for in full, which sets ``budget_exhausted``.
+    call, from seeded starts in the ``_box``. Each mode step contracts the
+    state's ``moment_table`` twice, each row with its own signs: once with
+    the mode open (``_open_mode``) and once at the candidate
+    (``sides_from_moments``). ``max_evals`` caps the evaluations: only as
+    many problems start as it can evaluate once, and the ascent ends at the
+    step it cannot pay for in full, which sets ``budget_exhausted``.
     """
     n = spec.n_modes
     if n != state.n_modes:
@@ -92,14 +98,17 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     lo, hi = _box(n)
     rng = np.random.default_rng(spec.seed)
     x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
-    row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems, None]
+    row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems]
     table = moment_table(state)
 
+    def open_mode(rows, x, k):
+        return _open_mode(table, x[:, :n], x[:, n:], row_signs[rows] == 1, k)
+
     def beta(rows, x):
-        lhs, rhs = sides_from_moments(table, x[..., :n], x[..., n:], row_signs[rows])
+        lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs[rows])
         return lhs - rhs
 
-    x, f, evals, exhausted = _ascend(beta, x0, n, spec.max_evals)
+    x, f, evals, exhausted = _ascend(open_mode, beta, x0, n, spec.max_evals)
     best = int(np.argmax(f))
     point = x[best].tolist()
     settings = QuadratureSettings(tuple(point[:n]), tuple(point[n:]),
@@ -108,96 +117,87 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
                           evaluations=evals, budget_exhausted=exhausted)
 
 
-# The ascent's two exact steps on one mode k, all else fixed:
-#   - beta = a + Re(b e^{2i theta_k}): u does not read theta, v ~ e^{2i theta}
-#     and w ~ e^{-2i theta}, so lhs = |F|^2 with F affine in one of e^{+-2i
-#     theta_k}, and rhs is affine in both. Three values a third of a turn
-#     apart in 2 theta_k give b;
-#   - beta cos(delta_k) = c . (1, cos, sin, cos 2, sin 2)(delta_k): u and v
-#     carry 1/sqrt(cos delta) and w ~ 1 - e^{-2i delta}. Five values fix c.
-_THETA_PROBES = np.array([math.pi / 3, 2 * math.pi / 3])
-_DELTA_PROBES = np.array([0.0, -0.6, 0.6, -1.2, 1.2])
 # a sweep that raises a problem's beta by no more than this, relative to
 # max(1, |beta|), ends its ascent
 ASCENT_RTOL = 1e-12
 ASCENT_SWEEPS = 100
-# beta cos(delta) / cos(delta) has at most three maxima on the box; its
-# best point on this grid seeds Newton steps on the stationary equation
-_DELTA_GRID_POINTS = 129
+# beta = A / cos(delta) + B + C cos(delta) + D sin(delta) in each delta_k has
+# at most three maxima on the box; its best point on this grid seeds Newton
+# steps on the stationary equation
+_DELTA_GRID = np.linspace(-math.pi / 2 + DELTA_MARGIN, math.pi / 2 - DELTA_MARGIN,
+                          129)
+_DELTA_GRID_BASIS = np.stack((1.0 / np.cos(_DELTA_GRID), np.cos(_DELTA_GRID),
+                              np.sin(_DELTA_GRID)))
 _NEWTON_STEPS = 4
 
 
-def _trig_basis(deltas: np.ndarray) -> np.ndarray:
-    return np.stack((np.ones_like(deltas), np.cos(deltas), np.sin(deltas),
-                     np.cos(2 * deltas), np.sin(2 * deltas)), axis=-1)
+def _delta_step(acd: np.ndarray) -> np.ndarray:
+    """delta maximizing A / cos + C cos + D sin on the box, one row (A, C, D)
+    per problem. The stationary points solve g = beta' cos^2
+    = A sin - C sin cos^2 + D cos^3 = 0, and g' = beta'' cos^2 there; Newton's
+    steps on g start at the grid's best point and are kept only where they
+    end higher."""
+    start = _DELTA_GRID[np.argmax(acd @ _DELTA_GRID_BASIS, axis=1)]
+    a, c, d = acd.T
 
+    def model(delta):
+        return a / np.cos(delta) + c * np.cos(delta) + d * np.sin(delta)
 
-_DELTA_GRID = np.linspace(-math.pi / 2 + DELTA_MARGIN, math.pi / 2 - DELTA_MARGIN,
-                          _DELTA_GRID_POINTS)
-_DELTA_GRID_BASIS = _trig_basis(_DELTA_GRID) / np.cos(_DELTA_GRID)[:, None]
-
-
-def _theta_step(probe, theta, current):
-    """theta maximizing a + Re(b e^{2i theta}), from the values at theta
-    (``current``) and at theta + _THETA_PROBES."""
-    b = current + probe(theta[:, None] + _THETA_PROBES) @ np.exp(-2j * _THETA_PROBES)
-    return (theta - np.angle(b) / 2) % (2 * math.pi)
-
-
-def _delta_coefficients(p: np.ndarray) -> np.ndarray:
-    """c with P = c . (1, cos, sin, cos 2, sin 2), from P at the probes
-    (0, -a, a, -2a, 2a) of _DELTA_PROBES, one row per problem.
-
-    With x = cos(delta), P = Q(x) + sin(delta) L(x), where
-    Q = c0 - c3 + c1 x + 2 c3 x^2 and L = c2 + 2 c4 x. The even parts of the
-    values are Q at x = 1, cos a, cos 2a and the odd parts give L at cos a,
-    cos 2a, so divided differences fix both.
-    """
-    (x0, x1, x2), (s1, s2) = np.cos(_DELTA_PROBES[::2]), np.sin(_DELTA_PROBES[2::2])
-    q0, q1, q2 = p[:, 0], (p[:, 1] + p[:, 2]) / 2, (p[:, 3] + p[:, 4]) / 2
-    l1, l2 = (p[:, 2] - p[:, 1]) / (2 * s1), (p[:, 4] - p[:, 3]) / (2 * s2)
-    q01 = (q1 - q0) / (x1 - x0)
-    q012 = ((q2 - q1) / (x2 - x1) - q01) / (x2 - x0)
-    l12 = (l2 - l1) / (x2 - x1)
-    return np.stack((q0 - q01 * x0 + q012 * (x0 * x1 + 0.5), q01 - q012 * (x0 + x1),
-                     l1 - l12 * x1, 0.5 * q012, 0.5 * l12), axis=-1)
-
-
-def _delta_step(probe, delta, _current):
-    """delta maximizing P(delta) / cos(delta) on the box, P fitted to beta
-    cos(delta) at _DELTA_PROBES. The stationary points solve
-    g = P' cos + P sin = 0, where g' = (P + P'') cos; Newton's steps on g
-    start at the grid's best point and are kept only where they end higher."""
-    values = probe(np.broadcast_to(_DELTA_PROBES, (len(delta), len(_DELTA_PROBES))))
-    c = _delta_coefficients(values * np.cos(_DELTA_PROBES))
-    start = _DELTA_GRID[np.argmax(c @ _DELTA_GRID_BASIS.T, axis=1)]
-    c0, _, c2, c3, c4 = c.T
-    d = start
+    delta = start
     for _ in range(_NEWTON_STEPS):
-        sin, cos = np.sin(d), np.cos(d)
-        g = (c2 + c0 * sin - 0.5 * c3 * (np.sin(3 * d) + 3 * sin)
-             + 0.5 * c4 * (np.cos(3 * d) + 3 * cos))
-        slope = (c0 - 3 * c3 * np.cos(2 * d) - 3 * c4 * np.sin(2 * d)) * cos
+        sin, cos = np.sin(delta), np.cos(delta)
+        g = (a - c * cos * cos) * sin + d * cos ** 3
+        slope = (a - c * (cos * cos - 2 * sin * sin) - 3 * d * cos * sin) * cos
         # a step only where g falls, i.e. towards a maximum
-        d = np.clip(d - g / np.where(slope < 0, slope, -np.inf),
-                    _DELTA_GRID[0], _DELTA_GRID[-1])
-
-    def model(d):
-        return (_trig_basis(d) * c).sum(axis=-1) / np.cos(d)
-
-    return np.where(model(d) >= model(start), d, start)
+        delta = np.clip(delta - g / np.where(slope < 0, slope, -np.inf),
+                        _DELTA_GRID[0], _DELTA_GRID[-1])
+    return np.where(model(delta) >= model(start), delta, start)
 
 
-def _ascend(fn, x: np.ndarray, n: int, max_evals: float = math.inf):
+def _mode_step(forward: np.ndarray, rhs: np.ndarray, r: np.ndarray,
+               delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mode k's new (theta_k, delta_k) from its open contraction
+    (``cfrd._open_mode``: F, G and r), one row per problem, at its current
+    delta_k. ``_bogoliubov``'s u = (1 + e)/(2 sqrt c), v = z (1 - e*)/(2
+    sqrt c) and w = z* (1 - e^2)/4, with e = e^{-i delta}, c = cos delta and
+    z = e^{2i theta}, and H = G_2 + G_3* give
+      - beta = a + Re(b z) in theta_k, with
+        b ~ ((1 + e) F_0)* (1 - e*) F_1 - ((1 - e^2) H)* / (2 r),
+        so theta_k = -arg(b)/2 is exact;
+      - at that z, beta = A / c + B + C cos delta + D sin delta in delta_k,
+        with p = F_0* z F_1, h = z* H / (2 r) and g_m = Re G_m / r:
+        A = (|F_0|^2 + |F_1|^2)/2 + Re(p - h) - g_0 - g_1, C = Re(h - p)
+        and D = Im(p + h); B does not read delta_k. So beta cos delta, a
+        degree-2 trigonometric polynomial, has no sin(delta) term.
+    """
+    e = np.exp(-1j * delta)
+    f0, f1 = forward.T
+    h = (rhs[:, 2] + rhs[:, 3].conj()) / (2.0 * r)
+    b = ((1.0 + e) * f0).conj() * (1.0 - e.conj()) * f1 - ((1.0 - e * e) * h).conj()
+    theta = (-0.5 * np.angle(b)) % (2 * math.pi)
+    z = np.exp(2j * theta)
+    p = f0.conj() * z * f1
+    h = z.conj() * h
+    acd = np.stack((0.5 * (np.abs(f0) ** 2 + np.abs(f1) ** 2) + (p - h).real
+                    - (rhs[:, 0].real + rhs[:, 1].real) / r,
+                    (h - p).real, (p + h).imag), axis=-1)
+    return theta, _delta_step(acd)
+
+
+def _ascend(open_mode, evaluate, x: np.ndarray, n: int,
+            max_evals: float = math.inf):
     """Maximize many problems over their (thetas, deltas), x of shape
     (P, 2n), by exact block-coordinate ascent.
 
-    ``fn(rows, x)`` evaluates beta for the problems ``rows`` (an index
-    array) at points ``x`` of shape (len(rows), k, 2n) and returns
-    (len(rows), k) values. A sweep takes each mode's theta step (2 probes)
-    and delta step (5 probes), each followed by one evaluation at its
-    candidate, which is kept only if beta has not fallen; so beta never
-    falls. A problem stops after a sweep that raises its beta by at most
+    ``evaluate(rows, x)`` gives beta of the problems ``rows`` (an index
+    array) at points ``x`` of shape (len(rows), 2n), and
+    ``open_mode(rows, x, k)`` gives their ``cfrd._open_mode`` terms (F, G,
+    r) with mode k open. A sweep takes one step per mode: one open
+    contraction, from which ``_mode_step`` reads the exact theta_k and then
+    the delta_k maximizer, and one evaluation of that candidate, which is
+    kept only if beta has not fallen; so beta never falls, and each value
+    is the evaluator's. Each counts as one evaluation per problem. A
+    problem stops after a sweep that raises its beta by at most
     ``ASCENT_RTOL * max(1, |beta|)``, and all stop after ``ASCENT_SWEEPS``.
     A step whose evaluations would pass ``max_evals`` covers only the first
     problems the rest of the budget pays for, and ends the ascent. Returns
@@ -206,29 +206,21 @@ def _ascend(fn, x: np.ndarray, n: int, max_evals: float = math.inf):
     """
     x = np.array(x, dtype=float)
     rows = np.arange(len(x))
-    f = fn(rows, x[:, None])[:, 0]
+    f = evaluate(rows, x)
     evals = len(x)
-    # mode by mode, its theta step and then its delta step: (column, step,
-    # evaluations per problem)
-    steps = [(col, step, len(probes) + 1) for k in range(n) for col, step, probes
-             in ((k, _theta_step, _THETA_PROBES), (n + k, _delta_step, _DELTA_PROBES))]
     for _ in range(ASCENT_SWEEPS):
         before = f[rows]
-        for col, step, cost in steps:
-            part = rows[:int(min(len(rows), (max_evals - evals) // cost))]
+        for k in range(n):
+            part = rows[:int(min(len(rows), (max_evals - evals) // 2))]
             if part.size == 0:
                 return x, f, evals, True
-            evals += cost * len(part)
-            here = x[part]
-
-            def probe(points):
-                at = np.repeat(here[:, None], points.shape[1], axis=1)
-                at[..., col] = points
-                return fn(part, at)
-
-            candidate = here.copy()
-            candidate[:, col] = step(probe, here[:, col], f[part])
-            value = fn(part, candidate[:, None])[:, 0]
+            evals += 2 * len(part)
+            candidate = x[part]
+            terms = open_mode(part, candidate, k)
+            with _finite():
+                candidate[:, k], candidate[:, n + k] = _mode_step(
+                    *terms, candidate[:, n + k])
+            value = evaluate(part, candidate)
             keep = value >= f[part]
             x[part[keep]] = candidate[keep]
             f[part[keep]] = value[keep]
@@ -329,8 +321,10 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     Mirrors ``optimize_settings`` (seeded ascent starts on the one
     nontrivial bipartition, signs (1, -1)) but runs every state in one
     vectorized ascent per start; the starts run one at a time, which keeps
-    the working memory that of one start. It reads only ``n_modes``,
-    ``restarts`` and ``seed`` of ``spec``; ``max_evals`` is not applied.
+    the working memory that of one start. Its open contractions read the
+    tables' ``_two_mode_blocks`` and its evaluations ``beta_from_table``. It
+    reads only ``n_modes``, ``restarts`` and ``seed`` of ``spec``;
+    ``max_evals`` is not applied.
     """
     if spec.n_modes != 2:
         raise ValueError("batch sweep is specific to two modes")
@@ -338,14 +332,28 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     rng = np.random.default_rng(spec.seed)
     lo, hi = _box(2)
     [signs] = _sign_assignments(2)
+    plus = np.equal([signs], 1)
+    active, gathered = None, None
+
+    def gather(rows):
+        # the active states' tables and blocks, sliced again only when the
+        # active set changes, which is at most once per sweep
+        nonlocal active, gathered
+        if active is None or not np.array_equal(active, rows):
+            active, table = rows, tables[rows]
+            gathered = table, _two_mode_blocks(table)
+        return gathered
+
+    def open_mode(rows, x, k):
+        return _open_mode(gather(rows)[1], x[:, :2], x[:, 2:], plus, k)
 
     def beta(rows, x):
-        return beta_from_table(tables[rows, None], x[..., :2], x[..., 2:], signs)
+        return beta_from_table(gather(rows)[0], x[:, :2], x[:, 2:], signs)
 
     best = np.full(batch, -np.inf)
     for _ in range(spec.restarts):
         x0 = lo + rng.random((batch, 4)) * (hi - lo)
-        best = np.maximum(best, _ascend(beta, x0, 2)[1])
+        best = np.maximum(best, _ascend(open_mode, beta, x0, 2)[1])
     return best
 
 

@@ -74,6 +74,21 @@ def ladder_word_oracle(state, word) -> complex:
     return complex(np.vdot(psi, out))
 
 
+def open_mode_beta(forward, rhs, r, theta, delta):
+    """beta from one mode's open contraction (F, G, r), one row per settings
+    row, at that mode's ``theta`` and ``delta`` of shape (rows, k):
+    |u F_0 + v F_1|^2 - Re[(1 - c/2) G_0 + G_1 + w G_2 + w* G_3] / (c r),
+    with u, v and w = c u v* written out from the quadrature angles here."""
+    c = np.cos(delta)
+    u = (1 + np.exp(-1j * delta)) / (2 * np.sqrt(c))
+    v = np.exp(2j * theta) * (1 - np.exp(1j * delta)) / (2 * np.sqrt(c))
+    w = c * u * v.conj()
+    f, g, r = forward[:, None], rhs[:, None], r[:, None]
+    lhs = np.abs(u * f[..., 0] + v * f[..., 1]) ** 2
+    return lhs - ((1 - c / 2) * g[..., 0] + g[..., 1] + w * g[..., 2]
+                  + w.conj() * g[..., 3]).real / (c * r)
+
+
 def eager_nelder_mead(fn, x0, lo, hi):
     """Batched box-constrained Nelder-Mead that evaluates every problem at
     every candidate: reflection, expansion, contraction and, whenever any

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (reference_beta, reference_cfrd_evaluate,
+from conftest import (open_mode_beta, reference_beta, reference_cfrd_evaluate,
                       reference_two_mode_bound, reference_two_mode_moment_table)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,7 +267,7 @@ ALL_SIGNS = ((1, -1), (-1, 1), (1, 1), (-1, -1))
 DELTA_EDGE = math.pi / 2 - 0.05  # the search's delta box edge
 
 
-def _simplex_settings(rng, shape):
+def _box_settings(rng, shape):
     """Random (thetas, deltas) over the search box, each of ``shape + (2,)``."""
     thetas = rng.uniform(0, 2 * math.pi, shape + (2,))
     deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, shape + (2,))
@@ -307,7 +307,7 @@ def test_beta_from_table_matches_dense_reference():
     rng = np.random.default_rng(4)
     tables = (rng.normal(size=(40, 1, 6, 6))
               + 1j * rng.normal(size=(40, 1, 6, 6)))
-    thetas, deltas = _simplex_settings(rng, (40, 5))
+    thetas, deltas = _box_settings(rng, (40, 5))
     for signs in ALL_SIGNS:
         fast = beta_from_table(tables, thetas, deltas, signs)
         ref, scale = _dense_beta_reference(tables, thetas, deltas, signs)
@@ -315,16 +315,16 @@ def test_beta_from_table_matches_dense_reference():
         assert np.all(np.abs(fast - ref) <= 1e-12 * scale)
 
 
-def test_beta_from_table_simplex_shapes():
-    # the batched simplex pairs per-row tables (B, 6, 6) with settings (B, 2)
-    # and per-row tables (B, 1, 6, 6) with vertex settings (B, V, 2)
+def test_beta_from_table_batch_shapes():
+    # the batch search pairs per-row tables (B, 6, 6) with one point per row
+    # (B, 2); per-row tables (B, 1, 6, 6) take several points per row (B, V, 2)
     from cvbell import beta_from_table, two_mode_moment_table
 
     states = [random_state(ModeSpec(2, 6), "pure" if i % 2 else "mixed",
                            headroom=3, seed=30 + i) for i in range(4)]
     tables = np.stack([two_mode_moment_table(s) for s in states])
     rng = np.random.default_rng(9)
-    thetas, deltas = _simplex_settings(rng, (4, 5))
+    thetas, deltas = _box_settings(rng, (4, 5))
     for signs in ALL_SIGNS:
         rows = beta_from_table(tables, thetas[:, 0], deltas[:, 0], signs)
         vertices = beta_from_table(tables[:, None], thetas, deltas, signs)
@@ -402,7 +402,7 @@ def test_sign_flip_leaves_two_mode_table_beta_to_rounding():
     tables = np.stack([two_mode_moment_table(random_state(
         ModeSpec(2, 6), "pure" if i % 2 else "mixed", headroom=3, seed=i))
         for i in range(100)])
-    thetas, deltas = _simplex_settings(np.random.default_rng(5), (100, 20))
+    thetas, deltas = _box_settings(np.random.default_rng(5), (100, 20))
     beta = beta_from_table(tables[:, None], thetas, deltas, (1, -1))
     flipped = beta_from_table(tables[:, None], thetas, deltas, (-1, 1))
     assert np.all(np.abs(beta - flipped) <= 1e-15 * np.maximum(1.0, np.abs(beta)))
@@ -620,6 +620,33 @@ def test_beta_cos_delta_has_degree_two_in_each_delta(state):
     poly = beta * np.cos(deltas)
     fit, *_ = np.linalg.lstsq(basis, poly.T, rcond=None)
     assert np.abs(basis @ fit - poly.T).max() <= 1e-12 * np.abs(beta).max()
+
+
+@pytest.mark.parametrize("state", _table_states())
+def test_open_mode_terms_rebuild_beta(state):
+    # with every other mode at its angles, beta depends on mode k only
+    # through the open contraction (F, G, r): each mode, both of its signs,
+    # at random (theta_k, delta_k)
+    from cvbell.cfrd import _open_mode, moment_table, sides_from_moments
+
+    n = state.n_modes
+    rng = np.random.default_rng(n)
+    table = moment_table(state)
+    thetas = rng.uniform(0, 2 * math.pi, (8, n))
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (8, n))
+    signs = rng.choice([1, -1], (8, n))
+    for k in range(n):
+        signs[:, k] = [1, -1] * 4
+        forward, rhs, r = _open_mode(table, thetas, deltas, signs == 1, k)
+        at_thetas = np.repeat(thetas[:, None], 16, axis=1)
+        at_deltas = np.repeat(deltas[:, None], 16, axis=1)
+        at_thetas[..., k] = rng.uniform(0, 2 * math.pi, (8, 16))
+        at_deltas[..., k] = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (8, 16))
+        lhs, rhs_side = sides_from_moments(table, at_thetas, at_deltas,
+                                           signs[:, None])
+        want = lhs - rhs_side
+        got = open_mode_beta(forward, rhs, r, at_thetas[..., k], at_deltas[..., k])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_dense_tables_share_read_only_monomial_stacks():

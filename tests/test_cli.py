@@ -136,7 +136,7 @@ def test_eval_overflowing_cat_exit_code(tmp_path, capsys, alpha):
 
 @pytest.mark.parametrize("alpha", [1e20, 1e40])
 def test_optimize_overflowing_cat_exit_code(tmp_path, capsys, alpha):
-    # the search's first contraction overflows and ends it, before any simplex
+    # the search's first contraction overflows and ends it, before any ascent step
     code, out = _overflowing_cat(tmp_path, capsys, alpha, ["optimize"])
     assert code == 3
     assert out == ""

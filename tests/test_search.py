@@ -16,7 +16,7 @@ from cvbell import search, structured
 from cvbell.search import _sign_assignments
 
 from conftest import (cat_closed_form, cat_closed_form_best_ratio,
-                      eager_nelder_mead)
+                      eager_nelder_mead, open_mode_beta)
 
 
 def test_search_spec_validation():
@@ -116,18 +116,24 @@ def test_budget_exhaustion_flagged():
 
 
 def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
-    # evaluations counts every point the search contracts; the cap ends the
-    # ascent at the step it cannot pay for in full, and only then is the
-    # budget flagged as exhausted
+    # evaluations counts every point the search contracts, each open
+    # contraction as one; the cap ends the ascent at the step it cannot pay
+    # for in full, and only then is the budget flagged as exhausted
     points = 0
-    real = search.sides_from_moments
+    real_sides, real_open = search.sides_from_moments, search._open_mode
 
     def counted(table, thetas, deltas, signs):
         nonlocal points
         points += thetas.size // thetas.shape[-1]
-        return real(table, thetas, deltas, signs)
+        return real_sides(table, thetas, deltas, signs)
+
+    def counted_open(table, thetas, *args):
+        nonlocal points
+        points += len(thetas)
+        return real_open(table, thetas, *args)
 
     monkeypatch.setattr(search, "sides_from_moments", counted)
+    monkeypatch.setattr(search, "_open_mode", counted_open)
     state = random_state(ModeSpec(2, 6), "pure", headroom=3, seed=2)
     spec = SettingsSearchSpec(n_modes=2, restarts=4, seed=0)
     free = optimize_settings(state, spec)
@@ -139,47 +145,94 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
         assert points == res.evaluations <= cap
         assert res.budget_exhausted == (cap < used)
         # the last step covers the problems the rest of the budget pays for,
-        # so less than one problem's step (at most 6 evaluations) is left
-        assert cap - res.evaluations < 6
+        # so less than one problem's step (2 evaluations) is left
+        assert cap - res.evaluations < 2
         assert math.isfinite(res.report.beta)
         if cap == used:
             assert res.report == free.report
 
 
-def test_ascent_reaches_the_maximum_of_a_separable_objective():
-    # sum_k Re(b_k e^{2i theta_k}) + P_k(delta_k) / cos(delta_k): each step is
-    # exact, so one sweep reaches sum_k |b_k| + max P_k / cos on the box
-    rng = np.random.default_rng(12)
-    n, problems = 3, 5
-    b = rng.standard_normal((problems, n)) + 1j * rng.standard_normal((problems, n))
-    c = rng.standard_normal((problems, n, 5))
+def _sides_objective(state, row_signs):
+    """(open_mode, evaluate) of optimize_settings's ascent on ``state``, one
+    problem per row of ``row_signs``."""
+    from cvbell.cfrd import moment_table, sides_from_moments
 
-    def fn(rows, x):
-        th, d = x[..., :n], x[..., n:]
-        basis = np.stack([np.ones_like(d), np.cos(d), np.sin(d), np.cos(2 * d),
-                          np.sin(2 * d)], axis=-1)
-        poly = (basis * c[rows, None]).sum(axis=-1) / np.cos(d)
-        return (np.real(b[rows, None] * np.exp(2j * th)) + poly).sum(axis=-1)
+    n, table = state.n_modes, moment_table(state)
 
+    def open_mode(rows, x, k):
+        return search._open_mode(table, x[:, :n], x[:, n:], row_signs[rows] == 1, k)
+
+    def evaluate(rows, x):
+        lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs[rows])
+        return lhs - rhs
+
+    return open_mode, evaluate
+
+
+def _coordinate_sweeps(state, x, row_signs, col, grid):
+    """beta of every problem at its point x with coordinate ``col`` set to
+    each of ``grid``, read through sides_from_moments: (problems, len(grid))."""
+    from cvbell.cfrd import moment_table, sides_from_moments
+
+    n = state.n_modes
+    at = np.repeat(x[:, None], len(grid), axis=1)
+    at[..., col] = grid
+    lhs, rhs = sides_from_moments(moment_table(state), at[..., :n], at[..., n:],
+                                  row_signs[:, None])
+    return lhs - rhs
+
+
+COORDINATE_STATES = [random_state(ModeSpec(3, 5), "mixed", 2, 3),
+                     make_cat_family(2, 0.9, -1)]
+
+
+@pytest.mark.parametrize("state", COORDINATE_STATES, ids=["dense-n3", "cat-n2"])
+def test_ascent_ends_at_a_coordinate_wise_maximum(state):
+    # at each problem's final point no single theta_k or delta_k on a
+    # 2001-point grid beats its beta, and that beta is the evaluator's value
+    # at the point, bit for bit
+    n = state.n_modes
+    row_signs = np.repeat(list(_sign_assignments(n)), 2, axis=0)
+    open_mode, evaluate = _sides_objective(state, row_signs)
     lo, hi = search._box(n)
-    grid = np.linspace(lo[-1], hi[-1], 200_001)
-    basis = np.stack([np.ones_like(grid), np.cos(grid), np.sin(grid),
-                      np.cos(2 * grid), np.sin(2 * grid)], axis=-1)
-    want = np.abs(b).sum(axis=1) + (
-        np.einsum("pkm,gm->pkg", c, basis) / np.cos(grid)).max(axis=-1).sum(axis=1)
-    x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
-    x, f, evals, exhausted = search._ascend(fn, x0, n)
+    x0 = lo + np.random.default_rng(4).random((len(row_signs), 2 * n)) * (hi - lo)
+    x, f, _, exhausted = search._ascend(open_mode, evaluate, x0, n)
     assert not exhausted
-    np.testing.assert_allclose(f, fn(np.arange(problems), x[:, None])[:, 0],
-                               rtol=0, atol=0)
-    # at least the grid's best, and above it by no more than the grid misses
-    assert (f >= want - 1e-12 * np.abs(want)).all() and (f <= want + 1e-9).all()
+    assert np.array_equal(f, evaluate(np.arange(len(x)), x))
+    slack = 1e-12 * np.maximum(1.0, np.abs(f))
+    for col in range(2 * n):
+        grid = np.linspace(lo[col], hi[col], 2001)
+        best = _coordinate_sweeps(state, x, row_signs, col, grid).max(axis=1)
+        assert (best <= f + slack).all()
+
+
+@pytest.mark.parametrize("state", COORDINATE_STATES + [
+    structured.make_fock_pair(4, range(2))], ids=["dense-n3", "cat-n2", "fock-n4"])
+def test_mode_step_maximizes_theta_then_delta(state):
+    # from random points, the theta of _mode_step is at least the best of a
+    # grid at the old delta, and its delta the best of a grid at the new theta
+    n = state.n_modes
+    rng = np.random.default_rng(n)
+    row_signs = rng.choice([1, -1], (6, n))
+    open_mode, evaluate = _sides_objective(state, row_signs)
+    lo, hi = search._box(n)
+    x = lo + rng.random((6, 2 * n)) * (hi - lo)
+    rows = np.arange(6)
+    for k in range(n):
+        row_signs[:, k] = [1, -1] * 3
+        theta, delta = search._mode_step(*open_mode(rows, x, k), x[:, n + k])
+        for col, new in ((k, theta), (n + k, delta)):
+            grid = np.linspace(lo[col], hi[col], 2001)
+            best = _coordinate_sweeps(state, x, row_signs, col, grid).max(axis=1)
+            x[:, col] = new
+            got = evaluate(rows, x)
+            assert (got >= best - 1e-12 * np.maximum(1.0, np.abs(best))).all()
 
 
 @pytest.mark.parametrize("max_evals", [1, 4, 5])
 def test_budget_edges_leave_a_finite_best(max_evals):
-    # 1 and 2n evaluations cannot fill one initial simplex of 2n + 1 points,
-    # 2n + 1 fills exactly one; the unfilled vertices read +inf
+    # 1, 4 and 5 evaluations start only that many of the 50 problems and
+    # leave none for a mode step (2 per problem); the best start is reported
     state = random_state(ModeSpec(2, 6), "pure", headroom=3, seed=2)
     res = optimize_settings(state, SettingsSearchSpec(
         n_modes=2, restarts=50, seed=0, max_evals=max_evals))
@@ -333,6 +386,29 @@ def _two_mode_problem(tables: np.ndarray, signs, seed: int):
 
     x0 = lo + np.random.default_rng(seed).random((len(tables), 4)) * (hi - lo)
     return fn, x0, lo, hi
+
+
+def test_two_mode_blocks_open_mode_rebuilds_beta_from_table():
+    # the batch's open contraction on the tables' sub-blocks: each mode and
+    # sign pattern, at random (theta_k, delta_k) of every state
+    from cvbell import beta_from_table
+    from cvbell.cfrd import _open_mode, _two_mode_blocks
+
+    tables = _two_mode_tables(64, seed=12)
+    blocks = _two_mode_blocks(tables)
+    rng = np.random.default_rng(3)
+    lo, hi = search._box(2)
+    for signs in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
+        x = lo + rng.random((64, 4)) * (hi - lo)
+        for k in range(2):
+            forward, rhs, r = _open_mode(blocks, x[:, :2], x[:, 2:],
+                                         np.equal([signs], 1), k)
+            at = np.repeat(x[:, None], 16, axis=1)
+            at[..., k] = rng.uniform(lo[k], hi[k], (64, 16))
+            at[..., 2 + k] = rng.uniform(lo[2 + k], hi[2 + k], (64, 16))
+            want = beta_from_table(tables[:, None], at[..., :2], at[..., 2:], signs)
+            got = open_mode_beta(forward, rhs, r, at[..., k], at[..., 2 + k])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_simplex_evaluates_only_the_rows_each_step_needs():
