@@ -601,8 +601,8 @@ def _one_coordinate_sweeps(state, column, values):
 
 @pytest.mark.parametrize("state", _table_states())
 def test_beta_has_degree_one_in_each_twice_theta(state):
-    # beta = a + Re(b e^{2i theta_k}) with the rest fixed: the search's theta
-    # step reads a and b from three values
+    # beta = a + Re(b e^{2i theta_k}) with the rest fixed, the form whose b
+    # the search's mode step reads from the open contraction
     phis = np.arange(16) * (2 * math.pi / 16)
     beta = _one_coordinate_sweeps(state, lambda k, n: k, phis / 2)
     spectrum = np.fft.fft(beta, axis=1) / len(phis)
@@ -612,7 +612,8 @@ def test_beta_has_degree_one_in_each_twice_theta(state):
 @pytest.mark.parametrize("state", _table_states())
 def test_beta_cos_delta_has_degree_two_in_each_delta(state):
     # beta cos(delta_k) = c . (1, cos, sin, cos 2, sin 2)(delta_k) with the
-    # rest fixed: the search's delta step fits c to five values
+    # rest fixed, the form whose coefficients the search's mode step reads
+    # from the open contraction
     deltas = np.linspace(-DELTA_EDGE, DELTA_EDGE, 17)
     beta = _one_coordinate_sweeps(state, lambda k, n: n + k, deltas)
     basis = np.stack([np.ones_like(deltas), np.cos(deltas), np.sin(deltas),

@@ -376,7 +376,7 @@ def _two_mode_tables(count: int, seed: int) -> np.ndarray:
 
 
 def _two_mode_problem(tables: np.ndarray, signs, seed: int):
-    """(objective, x0, lo, hi) of best_beta_two_mode_batch's simplex."""
+    """(objective, x0, lo, hi) of a simplex over the two-mode batch's box."""
     from cvbell import beta_from_table
 
     lo, hi = search._box(2)
