@@ -198,12 +198,22 @@ class MomentTable:
     A structured state keeps each block factored over its T^2 term pairs,
     shape (T^2, n, m), with ``weights`` (T^2,): a moment is the sum over
     pairs of weight * prod_k block[pair, k, m_k]. A dense state keeps each
-    block as a tensor (m,)*n, and ``weights`` is None.
+    block as a tensor (m,)*n, and ``weights`` is None. A ``per_point``
+    dense table holds one such tensor per settings point, (P,) + (m,)*n,
+    as ``_two_mode_blocks`` stacks a batch of states.
     """
 
     weights: np.ndarray | None
     forward: np.ndarray
     rhs: np.ndarray
+    per_point: bool = False
+
+    def at(self, rows) -> MomentTable:
+        """The table of the points ``rows``: those of a per-point table,
+        any other table whole."""
+        if not self.per_point:
+            return self
+        return MomentTable(None, self.forward[rows], self.rhs[rows], True)
 
 
 @lru_cache(maxsize=None)
@@ -280,24 +290,38 @@ def _finite():
 
 
 def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
-              ) -> np.ndarray:
+              open: int | None = None) -> np.ndarray:
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
-    for points ``coeffs`` of shape (P, n, m); elementwise, without BLAS, in
-    chunks of points whose intermediates hold about
-    ``_CONTRACT_BATCH_ENTRIES`` entries."""
-    step = max(1, _CONTRACT_BATCH_ENTRIES // table.rhs.size)
+    for points ``coeffs`` of shape (P, n, m), or (P, n - 1, m) over the
+    other modes with mode ``open`` left open, which returns (P, m);
+    elementwise, without BLAS, in chunks of points whose intermediates hold
+    about ``_CONTRACT_BATCH_ENTRIES`` entries. A per-point block meets each
+    point with its own table."""
+    step = max(1, _CONTRACT_BATCH_ENTRIES
+               // math.prod(table.rhs.shape[int(table.per_point):]))
     if len(coeffs) > step:
-        return np.concatenate([_contract(table, block, coeffs[lo:lo + step])
-                               for lo in range(0, len(coeffs), step)])
+        return np.concatenate([
+            _contract(table, block[lo:lo + step] if table.per_point else block,
+                      coeffs[lo:lo + step], open)
+            for lo in range(0, len(coeffs), step)])
     if table.weights is not None:
-        per_mode = (coeffs[:, None] * block).sum(axis=-1)
-        return (table.weights * per_mode.prod(axis=-1)).sum(axis=-1)
+        closed = block if open is None else np.delete(block, open, axis=1)
+        pairs = table.weights * (coeffs[:, None] * closed).sum(axis=-1).prod(axis=-1)
+        if open is None:
+            return pairs.sum(axis=-1)
+        return (pairs[..., None] * block[:, open]).sum(axis=1)
     _, n, m = coeffs.shape
-    acc = block.reshape(1, -1)
-    for k in range(n):
-        acc = (coeffs[:, k, :, None] * acc.reshape(len(acc), m, m ** (n - k - 1))
-               ).sum(axis=1)
-    return acc[:, 0]
+    if open is not None:  # mode ``open`` becomes the last, and stays
+        n += 1
+        block = np.moveaxis(block, open - n, -1)
+    acc = block.reshape(-1, m ** n)
+    for k in range(coeffs.shape[1]):  # mode k leads acc; summed term by term
+        acc = acc.reshape(len(acc), m, acc.shape[1] // m)
+        out = coeffs[:, k, 0, None] * acc[:, 0]
+        for j in range(1, m):
+            out += coeffs[:, k, j, None] * acc[:, j]
+        acc = out
+    return acc[:, 0] if open is None else acc
 
 
 def _contract_outer(table: MomentTable, block: np.ndarray, rows: np.ndarray,
@@ -342,8 +366,8 @@ def _sides(table: MomentTable, u, v, w, cosd, plus: np.ndarray,
             _contract(table, table.rhs, rhs).real / cosd.prod(axis=-1))
 
 
-def _open_mode(table, thetas: np.ndarray, deltas: np.ndarray, plus: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _open_mode(table: MomentTable, thetas: np.ndarray, deltas: np.ndarray,
+               plus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both sides at the settings rows (P, n) with mode k left open: F (P, 2)
     on mode k's (a, a^dag), G (P, 4) on its (1, N, a^2, a^dag^2) and
     r = prod_{j != k} cos delta_j (P,), so that
@@ -352,27 +376,16 @@ def _open_mode(table, thetas: np.ndarray, deltas: np.ndarray, plus: np.ndarray,
                - Re[(1 - c_k/2) G_0 + G_1 + w_k G_2 + w_k* G_3] / (c_k r).
 
     Where s_k = -1, B(-1) = (v*, u*) on (a, a^dag) reads F as (F_1*, F_0*).
-    ``table`` is a ``MomentTable``, contracted at mode k's unit rows (2
-    forward and 4 rhs points per row), or a pair of per-row two-mode blocks
-    (P, 2, 2) and (P, 4, 4), as ``_two_mode_blocks`` slices them.
+    Each block is one ``_contract`` with mode k open, at the ``_bogoliubov``
+    rows of the other modes only.
     """
-    dense_or_pairs = isinstance(table, MomentTable)
-
-    def contract(block, coeffs):
-        if not dense_or_pairs:  # mode 1 - k contracts, mode k stays open
-            block = block if k == 0 else block.swapaxes(1, 2)
-            return (block @ coeffs[:, 1 - k, :, None])[..., 0]
-        points, n, m = coeffs.shape
-        coeffs = np.repeat(coeffs[:, None], m, axis=1)
-        coeffs[:, :, k] = np.eye(m)
-        return _contract(table, block, coeffs.reshape(-1, n, m)).reshape(points, m)
-
     with _finite():
-        bogo = _bogoliubov(thetas, deltas)
-        forward, rhs = map(contract, (table.forward, table.rhs) if dense_or_pairs
-                           else table, _block_rows(*bogo, plus))
+        bogo = _bogoliubov(np.delete(thetas, k, axis=1), np.delete(deltas, k, axis=1))
+        forward, rhs = (_contract(table, block, coeffs, open=k) for block, coeffs in
+                        zip((table.forward, table.rhs),
+                            _block_rows(*bogo, np.delete(plus, k, axis=1))))
         forward = np.where(plus[:, k, None], forward, forward[:, ::-1].conj())
-    return forward, rhs, np.delete(bogo[3], k, axis=1).prod(axis=1)
+    return forward, rhs, bogo[3].prod(axis=1)
 
 
 def sides_from_moments(table: MomentTable, thetas: np.ndarray,
@@ -411,11 +424,12 @@ def two_mode_moment_table(state) -> np.ndarray:
     return _dense_moments(state, tuple(range(6)))
 
 
-def _two_mode_blocks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The {a, a^dag} block (..., 2, 2) and the {1, N, a^2, a^dag^2} block
-    (..., 4, 4) of stacked ``two_mode_moment_table`` outputs (..., 6, 6)."""
-    return (tables[..., 1:3, 1:3],
-            tables[..., _RHS, :][..., _RHS])
+def _two_mode_blocks(tables: np.ndarray) -> MomentTable:
+    """The per-point ``MomentTable`` of stacked ``two_mode_moment_table``
+    outputs (..., 6, 6): their {a, a^dag} blocks (P, 2, 2) and {1, N, a^2,
+    a^dag^2} blocks (P, 4, 4), the leading axes flattened to P."""
+    return MomentTable(None, tables[..., 1:3, 1:3].reshape(-1, 2, 2),
+                       tables[..., _RHS, :][..., _RHS].reshape(-1, 4, 4), True)
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
@@ -424,30 +438,20 @@ def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,
 
     ``table`` has shape (..., 6, 6) (a leading batch axis pairs each settings
     row with its own state); ``thetas`` and ``deltas`` have shape (..., 2).
+    Every row is ``_sides`` on the per-point table of ``_two_mode_blocks``.
     """
     thetas = np.asarray(thetas, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     _check_settings(thetas, deltas, signs)
-    u, v, w, cosd = _bogoliubov(thetas, deltas)
-    t = table
-    (p1, q1), (p2, q2) = [(u[..., k], v[..., k]) if s == 1 else
-                          (v[..., k].conj(), u[..., k].conj())
-                          for k, s in enumerate(signs)]
-    fwd = (p1 * (p2 * t[..., 1, 1] + q2 * t[..., 1, 2])
-           + q1 * (p2 * t[..., 2, 1] + q2 * t[..., 2, 2]))
-
-    # rhs coefficients per mode: (1 - c/2, 1, w, w*) on (1, N, a^2, a^dag^2)
-    ident = 1.0 - 0.5 * cosd
-    w1, w2 = w[..., 0], w[..., 1]
-    w2c = w2.conj()
-
-    def rhs_row(i):
-        return (ident[..., 1] * t[..., i, 0] + t[..., i, 3] + w2 * t[..., i, 4]
-                + w2c * t[..., i, 5])
-
-    rhs = (ident[..., 0] * rhs_row(0) + rhs_row(3) + w1 * rhs_row(4)
-           + w1.conj() * rhs_row(5))
-    return np.abs(fwd) ** 2 - rhs.real / (cosd[..., 0] * cosd[..., 1])
+    shape = np.broadcast_shapes(table.shape[:-2], thetas.shape[:-1],
+                                deltas.shape[:-1])
+    table, thetas, deltas = (
+        np.broadcast_to(a, shape + a.shape[-tail:]).reshape((-1,) + a.shape[-tail:])
+        for a, tail in ((table, 2), (thetas, 1), (deltas, 1)))
+    with _finite():
+        _, lhs, rhs = _sides(_two_mode_blocks(table), *_bogoliubov(thetas, deltas),
+                             np.equal([signs], 1))
+        return (lhs - rhs).reshape(shape)
 
 
 @dataclass

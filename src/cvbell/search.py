@@ -9,8 +9,11 @@ through one contraction of the moment table that leaves mode k open
 (``cfrd._open_mode``): from it, beta is a + Re(b e^{2i theta_k}) in each
 theta_k and A / cos + B + C cos + D sin in each delta_k, with every
 coefficient in closed form, so each mode step has an exact maximizer and
-needs no probe. The delta box stays strictly inside (-pi/2, pi/2) to avoid
-the 1/cos blow-up. ``batched_nelder_mead`` is a batched box-constrained simplex
+needs no probe. Every ascent reads one ``cfrd.MomentTable`` with
+``cfrd._contract``: a state's own table, which all its problems share, or a
+per-point table with one two-mode table per problem, as the two-mode batch
+stacks its states. The delta box stays strictly inside (-pi/2, pi/2) to
+avoid the 1/cos blow-up. ``batched_nelder_mead`` is a batched box-constrained simplex
 that no search calls; it stays importable because ``perfbench/spans.py``
 traces it.
 """
@@ -24,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrd import (CfrdReport, QuadratureSettings, _finite, _open_mode,
-                   _two_mode_blocks, beta_from_table, cfrd_evaluate,
+from .cfrd import (CfrdReport, QuadratureSettings, _bogoliubov, _finite,
+                   _open_mode, _sides, _two_mode_blocks, cfrd_evaluate,
                    moment_table, sides_from_moments)
 from .structured import make_cat_family
 
@@ -83,10 +86,9 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     """Maximize beta over bipartitions and angles by exact coordinate ascent.
 
     Every (sign pattern, restart) pair is one problem of a single ``_ascend``
-    call, from seeded starts in the ``_box``. Each mode step contracts the
-    state's ``moment_table`` twice, each row with its own signs: once with
-    the mode open (``_open_mode``) and once at the candidate
-    (``sides_from_moments``). ``max_evals`` caps the evaluations: only as
+    call, from seeded starts in the ``_box``, on the state's one
+    ``moment_table`` and with each problem's own signs. ``max_evals`` caps
+    the evaluations: only as
     many problems start as it can evaluate once, and the ascent ends at the
     step it cannot pay for in full, which sets ``budget_exhausted``.
     """
@@ -98,17 +100,8 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     lo, hi = _box(n)
     rng = np.random.default_rng(spec.seed)
     x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
-    row_signs = np.repeat(signs, spec.restarts, axis=0)[:problems]
-    table = moment_table(state)
-
-    def open_mode(rows, x, k):
-        return _open_mode(table, x[:, :n], x[:, n:], row_signs[rows] == 1, k)
-
-    def beta(rows, x):
-        lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs[rows])
-        return lhs - rhs
-
-    x, f, evals, exhausted = _ascend(open_mode, beta, x0, n, spec.max_evals)
+    plus = np.repeat(signs, spec.restarts, axis=0)[:problems] == 1
+    x, f, evals, exhausted = _ascend(moment_table(state), plus, x0, spec.max_evals)
     best = int(np.argmax(f))
     point = x[best].tolist()
     settings = QuadratureSettings(tuple(point[:n]), tuple(point[n:]),
@@ -184,19 +177,27 @@ def _mode_step(forward: np.ndarray, rhs: np.ndarray, r: np.ndarray,
     return theta, _delta_step(acd)
 
 
-def _ascend(open_mode, evaluate, x: np.ndarray, n: int,
-            max_evals: float = math.inf):
+def _beta(table, plus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """beta = lhs - rhs of ``cfrd._sides`` at the points x (P, 2n)."""
+    n = x.shape[1] // 2
+    with _finite():
+        _, lhs, rhs = _sides(table, *_bogoliubov(x[:, :n], x[:, n:]), plus)
+        return lhs - rhs
+
+
+def _ascend(table, plus: np.ndarray, x: np.ndarray, max_evals: float = math.inf):
     """Maximize many problems over their (thetas, deltas), x of shape
     (P, 2n), by exact block-coordinate ascent.
 
-    ``evaluate(rows, x)`` gives beta of the problems ``rows`` (an index
-    array) at points ``x`` of shape (len(rows), 2n), and
-    ``open_mode(rows, x, k)`` gives their ``cfrd._open_mode`` terms (F, G,
-    r) with mode k open. A sweep takes one step per mode: one open
-    contraction, from which ``_mode_step`` reads the exact theta_k and then
-    the delta_k maximizer, and one evaluation of that candidate, which is
-    kept only if beta has not fallen; so beta never falls, and each value
-    is the evaluator's. Each counts as one evaluation per problem. A
+    ``table`` is one ``MomentTable`` that every problem reads, or a
+    per-point one with a table per problem; ``plus`` (s == 1) holds one
+    sign row per problem, or one row that every problem shares. Each sweep
+    slices the rows of the problems still active once. A sweep takes one
+    step per mode: one open contraction (``cfrd._open_mode``), from which
+    ``_mode_step`` reads the exact theta_k and then the delta_k maximizer,
+    and one ``cfrd._sides`` evaluation of that candidate, which is kept only
+    if beta has not fallen; so beta never falls, and each value is that of
+    ``_sides`` at the point. Each counts as one evaluation per problem. A
     problem stops after a sweep that raises its beta by at most
     ``ASCENT_RTOL * max(1, |beta|)``, and all stop after ``ASCENT_SWEEPS``.
     A step whose evaluations would pass ``max_evals`` covers only the first
@@ -205,22 +206,28 @@ def _ascend(open_mode, evaluate, x: np.ndarray, n: int,
     stopped the ascent.
     """
     x = np.array(x, dtype=float)
+    n = x.shape[1] // 2
+    plus = np.broadcast_to(plus, (len(x), n))
     rows = np.arange(len(x))
-    f = evaluate(rows, x)
+    f = _beta(table, plus, x)
     evals = len(x)
     for _ in range(ASCENT_SWEEPS):
         before = f[rows]
+        active = table.at(rows), plus[rows]
         for k in range(n):
             part = rows[:int(min(len(rows), (max_evals - evals) // 2))]
             if part.size == 0:
                 return x, f, evals, True
             evals += 2 * len(part)
+            step_table, step_plus = (active if part.size == rows.size
+                                     else (table.at(part), plus[part]))
             candidate = x[part]
-            terms = open_mode(part, candidate, k)
+            terms = _open_mode(step_table, candidate[:, :n], candidate[:, n:],
+                               step_plus, k)
             with _finite():
                 candidate[:, k], candidate[:, n + k] = _mode_step(
                     *terms, candidate[:, n + k])
-            value = evaluate(part, candidate)
+            value = _beta(step_table, step_plus, candidate)
             keep = value >= f[part]
             x[part[keep]] = candidate[keep]
             f[part[keep]] = value[keep]
@@ -321,39 +328,21 @@ def best_beta_two_mode_batch(tables: np.ndarray, spec: SettingsSearchSpec,
     Mirrors ``optimize_settings`` (seeded ascent starts on the one
     nontrivial bipartition, signs (1, -1)) but runs every state in one
     vectorized ascent per start; the starts run one at a time, which keeps
-    the working memory that of one start. Its open contractions read the
-    tables' ``_two_mode_blocks`` and its evaluations ``beta_from_table``. It
-    reads only ``n_modes``, ``restarts`` and ``seed`` of ``spec``;
-    ``max_evals`` is not applied.
+    the working memory that of one start. The ascent reads the per-point
+    ``MomentTable`` of the tables' ``_two_mode_blocks``, one table per
+    state. It reads only ``n_modes``, ``restarts`` and ``seed`` of
+    ``spec``; ``max_evals`` is not applied.
     """
     if spec.n_modes != 2:
         raise ValueError("batch sweep is specific to two modes")
-    batch = tables.shape[0]
+    table = _two_mode_blocks(tables)
     rng = np.random.default_rng(spec.seed)
     lo, hi = _box(2)
     [signs] = _sign_assignments(2)
-    plus = np.equal([signs], 1)
-    active, gathered = None, None
-
-    def gather(rows):
-        # the active states' tables and blocks, sliced again only when the
-        # active set changes, which is at most once per sweep
-        nonlocal active, gathered
-        if active is None or not np.array_equal(active, rows):
-            active, table = rows, tables[rows]
-            gathered = table, _two_mode_blocks(table)
-        return gathered
-
-    def open_mode(rows, x, k):
-        return _open_mode(gather(rows)[1], x[:, :2], x[:, 2:], plus, k)
-
-    def beta(rows, x):
-        return beta_from_table(gather(rows)[0], x[:, :2], x[:, 2:], signs)
-
-    best = np.full(batch, -np.inf)
+    best = np.full(len(tables), -np.inf)
     for _ in range(spec.restarts):
-        x0 = lo + rng.random((batch, 4)) * (hi - lo)
-        best = np.maximum(best, _ascend(open_mode, beta, x0, 2)[1])
+        x0 = lo + rng.random((len(tables), 4)) * (hi - lo)
+        best = np.maximum(best, _ascend(table, np.equal([signs], 1), x0)[1])
     return best
 
 

@@ -344,6 +344,16 @@ def test_beta_from_table_batch_shapes():
             beta_from_table(tables, thetas[:, 0], bad, (1, -1))
 
 
+def test_beta_from_table_fails_on_overflow():
+    # moments near 1e200 overflow |<prod B>|^2: an error, not an infinite beta
+    from cvbell import NumericalConsistencyError, beta_from_table
+
+    table = np.zeros((6, 6), complex)
+    table[1:4, 1:4] = 1e200
+    with pytest.raises(NumericalConsistencyError):
+        beta_from_table(table, np.array([0.3, 0.5]), np.array([0.2, -0.1]), (1, -1))
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_beta_invariant_under_global_sign_flip(seed):
@@ -648,6 +658,81 @@ def test_open_mode_terms_rebuild_beta(state):
         want = lhs - rhs_side
         got = open_mode_beta(forward, rhs, r, at_thetas[..., k], at_deltas[..., k])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _per_point_pairs():
+    """Dense two-mode states, pure and mixed, and a two-mode cat."""
+    return [random_state(ModeSpec(2, 6), "pure" if i % 2 else "mixed", headroom=3,
+                         seed=40 + i) for i in range(8)] + [make_cat_family(2, 0.9, -1)]
+
+
+def test_per_point_table_matches_each_states_own_table():
+    # the per-point table of stacked two_mode_moment_table outputs gives each
+    # point the sides and open contractions of its state's own moment_table:
+    # bit for bit on dense states, to rounding on the cat, whose 6x6 table
+    # an einsum over term pairs sums
+    from cvbell.cfrd import (_bogoliubov, _open_mode, _sides, _two_mode_blocks,
+                             moment_table)
+
+    states = _per_point_pairs()
+    rows = 12
+    table = _two_mode_blocks(np.repeat(
+        [two_mode_moment_table(s) for s in states], rows, axis=0))
+    rng = np.random.default_rng(6)
+    thetas = rng.uniform(0, 2 * math.pi, (len(states) * rows, 2))
+    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (len(states) * rows, 2))
+    plus = rng.choice([True, False], (len(states) * rows, 2))
+    _, lhs, rhs = _sides(table, *_bogoliubov(thetas, deltas), plus)
+    opened = [_open_mode(table, thetas, deltas, plus, k) for k in range(2)]
+    for i, state in enumerate(states):
+        own, at = moment_table(state), slice(i * rows, (i + 1) * rows)
+        _, own_lhs, own_rhs = _sides(own, *_bogoliubov(thetas[at], deltas[at]),
+                                     plus[at])
+        own_opened = [_open_mode(own, thetas[at], deltas[at], plus[at], k)
+                      for k in range(2)]
+        if isinstance(state, StructuredState):
+            want = own_lhs - own_rhs
+            slack = 1e-15 * np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(lhs[at] - rhs[at] - want) <= slack)
+            for k, terms in enumerate(own_opened):
+                got, want = (open_mode_beta(*t, thetas[at, k, None],
+                                            deltas[at, k, None])[:, 0]
+                             for t in ([x[at] for x in opened[k]], terms))
+                assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+        else:
+            assert np.array_equal(lhs[at], own_lhs)
+            assert np.array_equal(rhs[at], own_rhs)
+            for mine, theirs in zip(opened, own_opened):
+                for a, b in zip(mine, theirs):
+                    assert np.array_equal(a[at], b)
+
+
+@pytest.mark.parametrize("kind", ["dense", "term-pair", "per-point"])
+def test_chunked_open_contraction_changes_no_bits(kind, monkeypatch):
+    # a contraction with one mode open, split into many small chunks of
+    # points, gives each point the value of the unchunked contraction
+    from cvbell import cfrd
+
+    points = 40
+    if kind == "per-point":
+        n, table = 2, cfrd._two_mode_blocks(np.stack([
+            two_mode_moment_table(s) for s in _per_point_pairs()[:-1]] * 5))
+    else:
+        n, state = ((3, random_state(ModeSpec(3, 4), "mixed", 2, 7)) if kind == "dense"
+                    else (5, make_fock_pair(5, range(2))))
+        table = cfrd.moment_table(state)
+    rng = np.random.default_rng(8)
+    for block in (table.forward, table.rhs):
+        m = block.shape[-1]
+        coeffs = rng.normal(size=(points, n - 1, m)) + 1j * rng.normal(
+            size=(points, n - 1, m))
+        for k in range(n):
+            whole = cfrd._contract(table, block, coeffs, open=k)
+            with monkeypatch.context() as patch:
+                patch.setattr(cfrd, "_CONTRACT_BATCH_ENTRIES", 1)
+                chunked = cfrd._contract(table, block, coeffs, open=k)
+            assert whole.shape == (points, m)
+            assert np.array_equal(chunked, whole)
 
 
 def test_dense_tables_share_read_only_monomial_stacks():

@@ -120,19 +120,19 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
     # contraction as one; the cap ends the ascent at the step it cannot pay
     # for in full, and only then is the budget flagged as exhausted
     points = 0
-    real_sides, real_open = search.sides_from_moments, search._open_mode
+    real_sides, real_open = search._sides, search._open_mode
 
-    def counted(table, thetas, deltas, signs):
+    def counted(table, u, *args):
         nonlocal points
-        points += thetas.size // thetas.shape[-1]
-        return real_sides(table, thetas, deltas, signs)
+        points += len(u)
+        return real_sides(table, u, *args)
 
     def counted_open(table, thetas, *args):
         nonlocal points
         points += len(thetas)
         return real_open(table, thetas, *args)
 
-    monkeypatch.setattr(search, "sides_from_moments", counted)
+    monkeypatch.setattr(search, "_sides", counted)
     monkeypatch.setattr(search, "_open_mode", counted_open)
     state = random_state(ModeSpec(2, 6), "pure", headroom=3, seed=2)
     spec = SettingsSearchSpec(n_modes=2, restarts=4, seed=0)
@@ -153,20 +153,21 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
 
 
 def _sides_objective(state, row_signs):
-    """(open_mode, evaluate) of optimize_settings's ascent on ``state``, one
-    problem per row of ``row_signs``."""
+    """(table, open_mode, evaluate) of optimize_settings's ascent on
+    ``state``, one problem per row of ``row_signs``, read at each call;
+    ``evaluate`` reads beta through sides_from_moments."""
     from cvbell.cfrd import moment_table, sides_from_moments
 
     n, table = state.n_modes, moment_table(state)
 
-    def open_mode(rows, x, k):
-        return search._open_mode(table, x[:, :n], x[:, n:], row_signs[rows] == 1, k)
+    def open_mode(x, k):
+        return search._open_mode(table, x[:, :n], x[:, n:], row_signs == 1, k)
 
-    def evaluate(rows, x):
-        lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs[rows])
+    def evaluate(x):
+        lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs)
         return lhs - rhs
 
-    return open_mode, evaluate
+    return table, open_mode, evaluate
 
 
 def _coordinate_sweeps(state, x, row_signs, col, grid):
@@ -193,12 +194,12 @@ def test_ascent_ends_at_a_coordinate_wise_maximum(state):
     # at the point, bit for bit
     n = state.n_modes
     row_signs = np.repeat(list(_sign_assignments(n)), 2, axis=0)
-    open_mode, evaluate = _sides_objective(state, row_signs)
+    table, _, evaluate = _sides_objective(state, row_signs)
     lo, hi = search._box(n)
     x0 = lo + np.random.default_rng(4).random((len(row_signs), 2 * n)) * (hi - lo)
-    x, f, _, exhausted = search._ascend(open_mode, evaluate, x0, n)
+    x, f, _, exhausted = search._ascend(table, row_signs == 1, x0)
     assert not exhausted
-    assert np.array_equal(f, evaluate(np.arange(len(x)), x))
+    assert np.array_equal(f, evaluate(x))
     slack = 1e-12 * np.maximum(1.0, np.abs(f))
     for col in range(2 * n):
         grid = np.linspace(lo[col], hi[col], 2001)
@@ -214,18 +215,17 @@ def test_mode_step_maximizes_theta_then_delta(state):
     n = state.n_modes
     rng = np.random.default_rng(n)
     row_signs = rng.choice([1, -1], (6, n))
-    open_mode, evaluate = _sides_objective(state, row_signs)
+    _, open_mode, evaluate = _sides_objective(state, row_signs)
     lo, hi = search._box(n)
     x = lo + rng.random((6, 2 * n)) * (hi - lo)
-    rows = np.arange(6)
     for k in range(n):
         row_signs[:, k] = [1, -1] * 3
-        theta, delta = search._mode_step(*open_mode(rows, x, k), x[:, n + k])
+        theta, delta = search._mode_step(*open_mode(x, k), x[:, n + k])
         for col, new in ((k, theta), (n + k, delta)):
             grid = np.linspace(lo[col], hi[col], 2001)
             best = _coordinate_sweeps(state, x, row_signs, col, grid).max(axis=1)
             x[:, col] = new
-            got = evaluate(rows, x)
+            got = evaluate(x)
             assert (got >= best - 1e-12 * np.maximum(1.0, np.abs(best))).all()
 
 
@@ -389,19 +389,20 @@ def _two_mode_problem(tables: np.ndarray, signs, seed: int):
 
 
 def test_two_mode_blocks_open_mode_rebuilds_beta_from_table():
-    # the batch's open contraction on the tables' sub-blocks: each mode and
-    # sign pattern, at random (theta_k, delta_k) of every state
+    # the batch's open contraction on the per-point table of the tables'
+    # sub-blocks: each mode and sign pattern, at random (theta_k, delta_k) of
+    # every state
     from cvbell import beta_from_table
     from cvbell.cfrd import _open_mode, _two_mode_blocks
 
     tables = _two_mode_tables(64, seed=12)
-    blocks = _two_mode_blocks(tables)
+    table = _two_mode_blocks(tables)
     rng = np.random.default_rng(3)
     lo, hi = search._box(2)
     for signs in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
         x = lo + rng.random((64, 4)) * (hi - lo)
         for k in range(2):
-            forward, rhs, r = _open_mode(blocks, x[:, :2], x[:, 2:],
+            forward, rhs, r = _open_mode(table, x[:, :2], x[:, 2:],
                                          np.equal([signs], 1), k)
             at = np.repeat(x[:, None], 16, axis=1)
             at[..., k] = rng.uniform(lo[k], hi[k], (64, 16))
