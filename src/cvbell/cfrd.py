@@ -293,10 +293,10 @@ def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
               open: int | None = None) -> np.ndarray:
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
     for points ``coeffs`` of shape (P, n, m), or (P, n - 1, m) over the
-    other modes with mode ``open`` left open, which returns (P, m);
-    elementwise, without BLAS, in chunks of points whose intermediates hold
-    about ``_CONTRACT_BATCH_ENTRIES`` entries. A per-point block meets each
-    point with its own table."""
+    other modes with mode ``open`` left open, which returns (P, m); one
+    mode at a time by ``np.einsum``, without BLAS, in chunks of points whose
+    intermediates hold about ``_CONTRACT_BATCH_ENTRIES`` entries. A
+    per-point block meets each point with its own table."""
     step = max(1, _CONTRACT_BATCH_ENTRIES
                // math.prod(table.rhs.shape[int(table.per_point):]))
     if len(coeffs) > step:
@@ -315,12 +315,9 @@ def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
         n += 1
         block = np.moveaxis(block, open - n, -1)
     acc = block.reshape(-1, m ** n)
-    for k in range(coeffs.shape[1]):  # mode k leads acc; summed term by term
-        acc = acc.reshape(len(acc), m, acc.shape[1] // m)
-        out = coeffs[:, k, 0, None] * acc[:, 0]
-        for j in range(1, m):
-            out += coeffs[:, k, j, None] * acc[:, j]
-        acc = out
+    for k in range(coeffs.shape[1]):  # mode k leads acc
+        acc = np.einsum("...j,...jr->...r", coeffs[:, k],
+                        acc.reshape(len(acc), m, acc.shape[1] // m))
     return acc[:, 0] if open is None else acc
 
 
