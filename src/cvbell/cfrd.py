@@ -293,10 +293,11 @@ def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
               open: int | None = None) -> np.ndarray:
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
     for points ``coeffs`` of shape (P, n, m), or (P, n - 1, m) over the
-    other modes with mode ``open`` left open, which returns (P, m); one
-    mode at a time by ``np.einsum``, without BLAS, in chunks of points whose
-    intermediates hold about ``_CONTRACT_BATCH_ENTRIES`` entries. A
-    per-point block meets each point with its own table."""
+    other modes with mode ``open`` left open, which returns (P, m). A dense
+    block meets one mode at a time in ``np.einsum``, a per-point block each
+    point with its own table. No BLAS, so a point gets the same bits alone
+    or in a batch; chunks of points keep the intermediates near
+    ``_CONTRACT_BATCH_ENTRIES`` entries."""
     step = max(1, _CONTRACT_BATCH_ENTRIES
                // math.prod(table.rhs.shape[int(table.per_point):]))
     if len(coeffs) > step:
