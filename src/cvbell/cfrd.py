@@ -213,7 +213,7 @@ class MomentTable:
         any other table whole."""
         if not self.per_point:
             return self
-        return MomentTable(None, self.forward[rows], self.rhs[rows], True)
+        return MomentTable(None, self.forward[rows], self.rhs[rows], per_point=True)
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +427,8 @@ def _two_mode_blocks(tables: np.ndarray) -> MomentTable:
     outputs (..., 6, 6): their {a, a^dag} blocks (P, 2, 2) and {1, N, a^2,
     a^dag^2} blocks (P, 4, 4), the leading axes flattened to P."""
     return MomentTable(None, tables[..., 1:3, 1:3].reshape(-1, 2, 2),
-                       tables[..., _RHS, :][..., _RHS].reshape(-1, 4, 4), True)
+                       tables[..., _RHS, :][..., _RHS].reshape(-1, 4, 4),
+                       per_point=True)
 
 
 def beta_from_table(table: np.ndarray, thetas: np.ndarray, deltas: np.ndarray,

@@ -13,9 +13,9 @@ needs no probe. Every ascent reads one ``cfrd.MomentTable`` with
 ``cfrd._contract``: a state's own table, which all its problems share, or a
 per-point table with one two-mode table per problem, as the two-mode batch
 stacks its states. The delta box stays strictly inside (-pi/2, pi/2) to
-avoid the 1/cos blow-up. ``batched_nelder_mead`` is a batched box-constrained simplex
-that no search calls; it stays importable because ``perfbench/spans.py``
-traces it.
+avoid the 1/cos blow-up. ``batched_nelder_mead`` is a batched
+box-constrained simplex that no search calls; it stays importable because
+``perfbench/spans.py`` traces it.
 """
 
 from __future__ import annotations

@@ -695,10 +695,10 @@ def test_per_point_table_matches_each_states_own_table():
             slack = 1e-15 * np.maximum(1.0, np.abs(want))
             assert np.all(np.abs(lhs[at] - rhs[at] - want) <= slack)
             for k, terms in enumerate(own_opened):
-                got, want = (open_mode_beta(*t, thetas[at, k, None],
-                                            deltas[at, k, None])[:, 0]
-                             for t in ([x[at] for x in opened[k]], terms))
-                assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+                got, ref = (open_mode_beta(*t, thetas[at, k, None],
+                                           deltas[at, k, None])[:, 0]
+                            for t in ([x[at] for x in opened[k]], terms))
+                assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
         else:
             assert np.array_equal(lhs[at], own_lhs)
             assert np.array_equal(rhs[at], own_rhs)
