@@ -199,8 +199,10 @@ class MomentTable:
     shape (T^2, n, m), with ``weights`` (T^2,): a moment is the sum over
     pairs of weight * prod_k block[pair, k, m_k]. A dense state keeps each
     block as a tensor (m,)*n, and ``weights`` is None. A ``per_point``
-    dense table holds one such tensor per settings point, (P,) + (m,)*n,
-    as ``_two_mode_blocks`` stacks a batch of states.
+    table holds one such table per settings point on a leading axis P:
+    dense blocks (P,) + (m,)*n, as ``_two_mode_blocks`` stacks a batch of
+    states, or term-pair weights (P, T^2) and blocks (P, T^2, n, m), as the
+    cat scan stacks its alpha grid.
     """
 
     weights: np.ndarray | None
@@ -213,7 +215,8 @@ class MomentTable:
         any other table whole."""
         if not self.per_point:
             return self
-        return MomentTable(None, self.forward[rows], self.rhs[rows], per_point=True)
+        return MomentTable(None if self.weights is None else self.weights[rows],
+                           self.forward[rows], self.rhs[rows], per_point=True)
 
 
 @lru_cache(maxsize=None)
@@ -294,23 +297,30 @@ def _contract(table: MomentTable, block: np.ndarray, coeffs: np.ndarray,
     """sum_m prod_k coeffs[:, k, m_k] <prod_k monomial_{m_k}> over one block,
     for points ``coeffs`` of shape (P, n, m), or (P, n - 1, m) over the
     other modes with mode ``open`` left open, which returns (P, m). A dense
-    block meets one mode at a time in ``np.einsum``, a per-point block each
-    point with its own table. No BLAS, so a point gets the same bits alone
-    or in a batch; chunks of points keep the intermediates near
-    ``_CONTRACT_BATCH_ENTRIES`` entries."""
+    block meets one mode at a time in ``np.einsum``, a term-pair block sums
+    its pairs' products over modes, read from the end so that a per-point
+    block's leading axis broadcasts; a per-point table gives each point its
+    own table. No BLAS, so a point gets the same bits alone or in a batch;
+    chunks of points, which slice a per-point table's weights and block
+    alike, keep the intermediates near ``_CONTRACT_BATCH_ENTRIES`` entries."""
     step = max(1, _CONTRACT_BATCH_ENTRIES
                // math.prod(table.rhs.shape[int(table.per_point):]))
     if len(coeffs) > step:
+        parts = [slice(lo, lo + step) for lo in range(0, len(coeffs), step)]
         return np.concatenate([
-            _contract(table, block[lo:lo + step] if table.per_point else block,
-                      coeffs[lo:lo + step], open)
-            for lo in range(0, len(coeffs), step)])
+            _contract(table.at(part), block[part] if table.per_point else block,
+                      coeffs[part], open)
+            for part in parts])
     if table.weights is not None:
-        closed = block if open is None else np.delete(block, open, axis=1)
+        closed = block if open is None else np.delete(block, open, axis=-2)
         pairs = table.weights * (coeffs[:, None] * closed).sum(axis=-1).prod(axis=-1)
         if open is None:
             return pairs.sum(axis=-1)
-        return (pairs[..., None] * block[:, open]).sum(axis=1)
+        # the pairs laid out last and contiguous, whatever the block's
+        # layout, so every point sums them in one order
+        return np.multiply(pairs[..., None, :],
+                           np.swapaxes(block[..., open, :], -1, -2), order="C",
+                           ).sum(axis=-1)
     _, n, m = coeffs.shape
     if open is not None:  # mode ``open`` becomes the last, and stays
         n += 1
@@ -365,7 +375,8 @@ def _sides(table: MomentTable, u, v, w, cosd, plus: np.ndarray,
 
 
 def _open_mode(table: MomentTable, thetas: np.ndarray, deltas: np.ndarray,
-               plus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               plus: np.ndarray, k: int,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Both sides at the settings rows (P, n) with mode k left open: F (P, 2)
     on mode k's (a, a^dag), G (P, 4) on its (1, N, a^2, a^dag^2) and
     r = prod_{j != k} cos delta_j (P,), so that
@@ -375,7 +386,9 @@ def _open_mode(table: MomentTable, thetas: np.ndarray, deltas: np.ndarray,
 
     Where s_k = -1, B(-1) = (v*, u*) on (a, a^dag) reads F as (F_1*, F_0*).
     Each block is one ``_contract`` with mode k open, at the ``_bogoliubov``
-    rows of the other modes only.
+    rows of the other modes only, which come back fourth, (u, v, w, cos
+    delta) each of shape (P, n - 1), so that a caller who moves only mode k
+    computes only its row.
     """
     with _finite():
         bogo = _bogoliubov(np.delete(thetas, k, axis=1), np.delete(deltas, k, axis=1))
@@ -383,7 +396,7 @@ def _open_mode(table: MomentTable, thetas: np.ndarray, deltas: np.ndarray,
                         zip((table.forward, table.rhs),
                             _block_rows(*bogo, np.delete(plus, k, axis=1))))
         forward = np.where(plus[:, k, None], forward, forward[:, ::-1].conj())
-    return forward, rhs, bogo[3].prod(axis=1)
+    return forward, rhs, bogo[3].prod(axis=1), bogo
 
 
 def sides_from_moments(table: MomentTable, thetas: np.ndarray,

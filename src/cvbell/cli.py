@@ -250,8 +250,11 @@ def cmd_scan(args) -> int:
             raise SpecParseError(f"{flag} must be positive and finite, got {value}")
     grid = search.default_alpha_grid(args.alpha_points, args.alpha_min,
                                      args.alpha_max)
-    rows = search.scan_cat_family(range(args.n_min, args.n_max + 1), grid,
-                                  args.sign)
+    try:
+        rows = search.scan_cat_family(range(args.n_min, args.n_max + 1), grid,
+                                      args.sign)
+    except ValueError as exc:  # a grid point whose cat has no norm
+        raise SpecParseError(f"cannot scan the cat family: {exc}") from exc
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -12,10 +12,12 @@ coefficient in closed form, so each mode step has an exact maximizer and
 needs no probe. Every ascent reads one ``cfrd.MomentTable`` with
 ``cfrd._contract``: a state's own table, which all its problems share, or a
 per-point table with one two-mode table per problem, as the two-mode batch
-stacks its states. The delta box stays strictly inside (-pi/2, pi/2) to
-avoid the 1/cos blow-up. ``batched_nelder_mead`` is a batched
-box-constrained simplex that no search calls; it stays importable because
-``perfbench/spans.py`` traces it.
+stacks its states. The cat scan stacks per-point term-pair tables in the
+same way, one per (alpha, sign pattern) point of a chunk of its grid, and
+reads each chunk in one ``cfrd._sides`` contraction. The delta box stays
+strictly inside (-pi/2, pi/2) to avoid the 1/cos blow-up.
+``batched_nelder_mead`` is a batched box-constrained simplex that no search
+calls; it stays importable because ``perfbench/spans.py`` traces it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrd import (CfrdReport, QuadratureSettings, _bogoliubov, _finite,
-                   _open_mode, _sides, _two_mode_blocks, cfrd_evaluate,
-                   moment_table, sides_from_moments)
+from .cfrd import (_CONTRACT_BATCH_ENTRIES, CfrdReport, MomentTable,
+                   QuadratureSettings, _bogoliubov, _finite, _open_mode, _sides,
+                   _two_mode_blocks, cfrd_evaluate, moment_table)
 from .structured import make_cat_family
 
 DELTA_MARGIN = 0.05
@@ -177,11 +179,11 @@ def _mode_step(forward: np.ndarray, rhs: np.ndarray, r: np.ndarray,
     return theta, _delta_step(acd)
 
 
-def _beta(table, plus: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """beta = lhs - rhs of ``cfrd._sides`` at the points x (P, 2n)."""
-    n = x.shape[1] // 2
+def _beta(table, plus: np.ndarray, bogo) -> np.ndarray:
+    """beta = lhs - rhs of ``cfrd._sides`` at the ``_bogoliubov`` rows
+    ``bogo`` of the points."""
     with _finite():
-        _, lhs, rhs = _sides(table, *_bogoliubov(x[:, :n], x[:, n:]), plus)
+        _, lhs, rhs = _sides(table, *bogo, plus)
         return lhs - rhs
 
 
@@ -197,7 +199,9 @@ def _ascend(table, plus: np.ndarray, x: np.ndarray, max_evals: float = math.inf)
     ``_mode_step`` reads the exact theta_k and then the delta_k maximizer,
     and one ``cfrd._sides`` evaluation of that candidate, which is kept only
     if beta has not fallen; so beta never falls, and each value is that of
-    ``_sides`` at the point. Each counts as one evaluation per problem. A
+    ``_sides`` at the point. The candidate's ``_bogoliubov`` rows are the
+    open contraction's rows of the other modes with mode k's new row put
+    in. Each counts as one evaluation per problem. A
     problem stops after a sweep that raises its beta by at most
     ``ASCENT_RTOL * max(1, |beta|)``, and all stop after ``ASCENT_SWEEPS``.
     A step whose evaluations would pass ``max_evals`` covers only the first
@@ -209,7 +213,7 @@ def _ascend(table, plus: np.ndarray, x: np.ndarray, max_evals: float = math.inf)
     n = x.shape[1] // 2
     plus = np.broadcast_to(plus, (len(x), n))
     rows = np.arange(len(x))
-    f = _beta(table, plus, x)
+    f = _beta(table, plus, _bogoliubov(x[:, :n], x[:, n:]))
     evals = len(x)
     for _ in range(ASCENT_SWEEPS):
         before = f[rows]
@@ -222,12 +226,15 @@ def _ascend(table, plus: np.ndarray, x: np.ndarray, max_evals: float = math.inf)
             step_table, step_plus = (active if part.size == rows.size
                                      else (table.at(part), plus[part]))
             candidate = x[part]
-            terms = _open_mode(step_table, candidate[:, :n], candidate[:, n:],
-                               step_plus, k)
+            *terms, closed = _open_mode(step_table, candidate[:, :n],
+                                        candidate[:, n:], step_plus, k)
             with _finite():
                 candidate[:, k], candidate[:, n + k] = _mode_step(
                     *terms, candidate[:, n + k])
-            value = _beta(step_table, step_plus, candidate)
+                row = _bogoliubov(candidate[:, k, None], candidate[:, n + k, None])
+            value = _beta(step_table, step_plus, [
+                np.concatenate((c[:, :k], new, c[:, k:]), axis=1)
+                for c, new in zip(closed, row)])
             keep = value >= f[part]
             x[part[keep]] = candidate[keep]
             f[part[keep]] = value[keep]
@@ -377,8 +384,11 @@ def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
     The cat is symmetric in its modes, so at delta = 0 the functional reads
     the signs only through the count m of -1 labels, and it is even in them:
     m = 1..n//2 covers every split. A single mode has none; (1,) stands for
-    both of its labels. Each alpha's patterns are one ``sides_from_moments``
-    call on the cat's ``moment_table``.
+    both of its labels. For each mode count, the cats' ``moment_table``s of
+    a chunk of alphas, each repeated once per pattern, stack into one
+    per-point table of about ``_CONTRACT_BATCH_ENTRIES`` entries, and the
+    chunk is one ``cfrd._sides`` contraction at theta = delta = 0. Rows are
+    read in grid-then-pattern order.
     """
     if len(alpha_grid) == 0:
         raise ValueError("alpha grid must hold at least one point")
@@ -386,14 +396,25 @@ def scan_cat_family(n_range: Sequence[int], alpha_grid: Sequence[complex],
     for n in n_range:
         best: ScanRow | None = None
         choices = [(1,) * (n - m) + (-1,) * m for m in range(1, n // 2 + 1)] or [(1,)]
-        for alpha in alpha_grid:
-            lhs, rhs = sides_from_moments(
-                moment_table(make_cat_family(n, alpha, sign)), 0.0, 0.0,
-                np.array(choices))
-            for signs, left, right in zip(choices, lhs.tolist(), rhs.tolist()):
+        # a cat's table holds 4 term pairs x n modes x 6 monomials
+        step = max(1, _CONTRACT_BATCH_ENTRIES // (len(choices) * 24 * n))
+        for lo in range(0, len(alpha_grid), step):
+            alphas = alpha_grid[lo:lo + step]
+            tables = [moment_table(make_cat_family(n, alpha, sign)) for alpha in alphas]
+            table = MomentTable(*(np.repeat(np.stack(blocks), len(choices), axis=0)
+                                  for blocks in zip(*[(t.weights, t.forward, t.rhs)
+                                                      for t in tables])),
+                                per_point=True)
+            zeros = np.zeros((len(table.weights), n))
+            with _finite():
+                _, lhs, rhs = _sides(table, *_bogoliubov(zeros, zeros),
+                                     np.tile(np.equal(choices, 1), (len(alphas), 1)))
+            for i, (left, right) in enumerate(zip(lhs.tolist(), rhs.tolist())):
                 ratio = left / right
                 if best is None or ratio > best.ratio + SCAN_TIE_TOLERANCE:
-                    best = ScanRow(n=n, alpha=complex(alpha), lhs=left, rhs=right,
-                                   ratio=ratio, beta=left - right, signs=signs)
+                    best = ScanRow(n=n, alpha=complex(alphas[i // len(choices)]),
+                                   lhs=left, rhs=right, ratio=ratio,
+                                   beta=left - right,
+                                   signs=choices[i % len(choices)])
         rows.append(best)
     return rows

@@ -228,12 +228,21 @@ def term_pair_elements(state: StructuredState, polys: Sequence[NormalOrderedPoly
 
     The expectation of prod_k polys[m_k] on mode k is then
     sum over pairs of weight * prod_k elements[pair, k, m_k].
+
+    Each distinct (bra factor, ket factor) pair is evaluated once, as one row
+    over ``polys``, which every term pair and mode that repeats it shares:
+    a cat at any mode count has four such pairs.
     """
     pairs = _term_pairs(state)
-    elements = [[[single_mode_matrix_element(fi[k], poly, fj[k]) for poly in polys]
-                 for k in range(state.n_modes)] for fi, fj, _ in pairs]
-    return (np.array([w for _, _, w in pairs]),
-            np.array(elements, dtype=complex))
+    # (row, bra, ket) of each distinct pair, keyed by the kets' fields: a
+    # tuple of builtins hashes and compares faster than the dataclasses
+    distinct: dict[tuple, tuple[int, PrimitiveKet, PrimitiveKet]] = {}
+    at = [[distinct.setdefault((bra.variant, bra.value, ket.variant, ket.value),
+                               (len(distinct), bra, ket))[0]
+           for bra, ket in zip(fi, fj)] for fi, fj, _ in pairs]
+    rows = np.array([[single_mode_matrix_element(bra, poly, ket) for poly in polys]
+                     for _, bra, ket in distinct.values()], dtype=complex)
+    return np.array([w for _, _, w in pairs]), rows[np.array(at)]
 
 
 def structured_poly_expectation(state: StructuredState,

@@ -648,7 +648,7 @@ def test_open_mode_terms_rebuild_beta(state):
     signs = rng.choice([1, -1], (8, n))
     for k in range(n):
         signs[:, k] = [1, -1] * 4
-        forward, rhs, r = _open_mode(table, thetas, deltas, signs == 1, k)
+        forward, rhs, r, _ = _open_mode(table, thetas, deltas, signs == 1, k)
         at_thetas = np.repeat(thetas[:, None], 16, axis=1)
         at_deltas = np.repeat(deltas[:, None], 16, axis=1)
         at_thetas[..., k] = rng.uniform(0, 2 * math.pi, (8, 16))
@@ -666,48 +666,71 @@ def _per_point_pairs():
                          seed=40 + i) for i in range(8)] + [make_cat_family(2, 0.9, -1)]
 
 
+def _term_pair_states():
+    """Four-mode states of two terms: cats at several alphas and both signs,
+    and a Fock pair."""
+    return [make_cat_family(4, alpha, sign) for alpha in (0.3, 0.9, 1.4 + 0.5j)
+            for sign in (1, -1)] + [make_fock_pair(4, (0, 2))]
+
+
+def _stacked_term_pair_table(states, rows):
+    """The per-point table of the states' own term-pair tables, each
+    repeated ``rows`` times."""
+    from cvbell.cfrd import MomentTable, moment_table
+
+    tables = [moment_table(s) for s in states]
+    return MomentTable(*(np.repeat([getattr(t, name) for t in tables], rows, axis=0)
+                         for name in ("weights", "forward", "rhs")), per_point=True)
+
+
 def test_per_point_table_matches_each_states_own_table():
-    # the per-point table of stacked two_mode_moment_table outputs gives each
-    # point the sides and open contractions of its state's own moment_table:
-    # bit for bit on dense states, to rounding on the cat, whose 6x6 table
-    # an einsum over term pairs sums
+    # a per-point table gives each point the sides and open contractions of
+    # its state's own moment_table. Stacked two_mode_moment_table outputs do
+    # so bit for bit on dense states and to rounding on the cat, whose 6x6
+    # table an einsum over term pairs sums; stacked term-pair tables do so
+    # bit for bit
     from cvbell.cfrd import (_bogoliubov, _open_mode, _sides, _two_mode_blocks,
                              moment_table)
 
-    states = _per_point_pairs()
     rows = 12
-    table = _two_mode_blocks(np.repeat(
-        [two_mode_moment_table(s) for s in states], rows, axis=0))
+    two_mode, term_pair = _per_point_pairs(), _term_pair_states()
+    cases = [(two_mode, _two_mode_blocks(np.repeat(
+                 [two_mode_moment_table(s) for s in two_mode], rows, axis=0))),
+             (term_pair, _stacked_term_pair_table(term_pair, rows))]
     rng = np.random.default_rng(6)
-    thetas = rng.uniform(0, 2 * math.pi, (len(states) * rows, 2))
-    deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (len(states) * rows, 2))
-    plus = rng.choice([True, False], (len(states) * rows, 2))
-    _, lhs, rhs = _sides(table, *_bogoliubov(thetas, deltas), plus)
-    opened = [_open_mode(table, thetas, deltas, plus, k) for k in range(2)]
-    for i, state in enumerate(states):
-        own, at = moment_table(state), slice(i * rows, (i + 1) * rows)
-        _, own_lhs, own_rhs = _sides(own, *_bogoliubov(thetas[at], deltas[at]),
-                                     plus[at])
-        own_opened = [_open_mode(own, thetas[at], deltas[at], plus[at], k)
-                      for k in range(2)]
-        if isinstance(state, StructuredState):
-            want = own_lhs - own_rhs
-            slack = 1e-15 * np.maximum(1.0, np.abs(want))
-            assert np.all(np.abs(lhs[at] - rhs[at] - want) <= slack)
-            for k, terms in enumerate(own_opened):
-                got, ref = (open_mode_beta(*t, thetas[at, k, None],
-                                           deltas[at, k, None])[:, 0]
-                            for t in ([x[at] for x in opened[k]], terms))
-                assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
-        else:
-            assert np.array_equal(lhs[at], own_lhs)
-            assert np.array_equal(rhs[at], own_rhs)
-            for mine, theirs in zip(opened, own_opened):
-                for a, b in zip(mine, theirs):
-                    assert np.array_equal(a[at], b)
+    for states, table in cases:
+        n = states[0].n_modes
+        thetas = rng.uniform(0, 2 * math.pi, (len(states) * rows, n))
+        deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (len(states) * rows, n))
+        plus = rng.choice([True, False], (len(states) * rows, n))
+        _, lhs, rhs = _sides(table, *_bogoliubov(thetas, deltas), plus)
+        opened = [_open_mode(table, thetas, deltas, plus, k)[:3] for k in range(n)]
+        for i, state in enumerate(states):
+            own, at = moment_table(state), slice(i * rows, (i + 1) * rows)
+            _, own_lhs, own_rhs = _sides(own, *_bogoliubov(thetas[at], deltas[at]),
+                                         plus[at])
+            own_opened = [_open_mode(own, thetas[at], deltas[at], plus[at], k)[:3]
+                          for k in range(n)]
+            if table.weights is None and isinstance(state, StructuredState):
+                want = own_lhs - own_rhs
+                slack = 1e-15 * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(lhs[at] - rhs[at] - want) <= slack)
+                for k, terms in enumerate(own_opened):
+                    got, ref = (open_mode_beta(*t, thetas[at, k, None],
+                                               deltas[at, k, None])[:, 0]
+                                for t in ([x[at] for x in opened[k]], terms))
+                    assert np.all(np.abs(got - ref)
+                                  <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+            else:
+                assert np.array_equal(lhs[at], own_lhs)
+                assert np.array_equal(rhs[at], own_rhs)
+                for mine, theirs in zip(opened, own_opened):
+                    for a, b in zip(mine, theirs):
+                        assert np.array_equal(a[at], b)
 
 
-@pytest.mark.parametrize("kind", ["dense", "term-pair", "per-point"])
+@pytest.mark.parametrize("kind", ["dense", "term-pair", "per-point",
+                                  "per-point-term-pair"])
 def test_chunked_open_contraction_changes_no_bits(kind, monkeypatch):
     # a contraction with one mode open, split into many small chunks of
     # points, gives each point the value of the unchunked contraction
@@ -717,6 +740,8 @@ def test_chunked_open_contraction_changes_no_bits(kind, monkeypatch):
     if kind == "per-point":
         n, table = 2, cfrd._two_mode_blocks(np.stack([
             two_mode_moment_table(s) for s in _per_point_pairs()[:-1]] * 5))
+    elif kind == "per-point-term-pair":
+        n, table = 4, _stacked_term_pair_table(_term_pair_states()[:5], 8)
     else:
         n, state = ((3, random_state(ModeSpec(3, 4), "mixed", 2, 7)) if kind == "dense"
                     else (5, make_fock_pair(5, range(2))))

@@ -376,9 +376,11 @@ SCAN = ["scan", "--family", "cat", "--n-min", "1", "--n-max", "2",
     SCAN + ["--n-min", "0"],
     SCAN + ["--n-min", "3"],
     SCAN + ["--out", "{tmp}/missing/x.csv"],
+    SCAN + ["--alpha-min", "1e-9", "--alpha-max", "1e-8", "--alpha-points", "2",
+            "--sign", "-1"],
 ], ids=["optimize-one-mode", "alpha-points-0", "alpha-min-0",
         "alpha-min-negative", "alpha-max-nan", "alpha-max-inf", "n-min-0",
-        "n-min-above-n-max", "out-dir-missing"])
+        "n-min-above-n-max", "out-dir-missing", "odd-cat-without-norm"])
 def test_optimize_and_scan_argument_errors(tmp_path, capsys, argv):
     one_mode = write_spec(tmp_path, {"type": "basis", "occupations": [1],
                                      "cutoff": 3})

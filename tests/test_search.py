@@ -155,13 +155,14 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
 def _sides_objective(state, row_signs):
     """(table, open_mode, evaluate) of optimize_settings's ascent on
     ``state``, one problem per row of ``row_signs``, read at each call;
-    ``evaluate`` reads beta through sides_from_moments."""
+    ``open_mode`` gives the open contraction's (F, G, r), and ``evaluate``
+    reads beta through sides_from_moments."""
     from cvbell.cfrd import moment_table, sides_from_moments
 
     n, table = state.n_modes, moment_table(state)
 
     def open_mode(x, k):
-        return search._open_mode(table, x[:, :n], x[:, n:], row_signs == 1, k)
+        return search._open_mode(table, x[:, :n], x[:, n:], row_signs == 1, k)[:3]
 
     def evaluate(x):
         lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs)
@@ -402,8 +403,8 @@ def test_two_mode_blocks_open_mode_rebuilds_beta_from_table():
     for signs in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
         x = lo + rng.random((64, 4)) * (hi - lo)
         for k in range(2):
-            forward, rhs, r = _open_mode(table, x[:, :2], x[:, 2:],
-                                         np.equal([signs], 1), k)
+            forward, rhs, r, _ = _open_mode(table, x[:, :2], x[:, 2:],
+                                            np.equal([signs], 1), k)
             at = np.repeat(x[:, None], 16, axis=1)
             at[..., k] = rng.uniform(lo[k], hi[k], (64, 16))
             at[..., 2 + k] = rng.uniform(lo[2 + k], hi[2 + k], (64, 16))
@@ -568,8 +569,10 @@ def test_scan_ties_keep_first_candidate():
 
 
 def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
-    # every sign pattern at one alpha reads one moment table: the six
-    # monomials {1, a, a^dag, N, a^2, a^dag^2} on each mode and term pair
+    # every sign pattern at one alpha reads one moment table, which
+    # evaluates the six monomials {1, a, a^dag, N, a^2, a^dag^2} once per
+    # distinct (bra, ket) factor pair: (alpha, alpha), (alpha, -alpha),
+    # (-alpha, alpha) and (-alpha, -alpha), shared by every mode
     calls = 0
     real = structured.single_mode_matrix_element
 
@@ -579,32 +582,50 @@ def test_scan_evaluates_each_single_mode_element_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(structured, "single_mode_matrix_element", counted)
-    n, n_terms = 6, 2
-    scan_cat_family([n], [0.7], 1)
-    assert calls == 6 * n * n_terms ** 2
+    scan_cat_family([6], [0.7], 1)
+    assert calls == 6 * 4
 
 
 def test_scan_evaluates_one_pattern_per_split_size(monkeypatch):
-    # per alpha, one call over max(1, n // 2) patterns: no pattern is the
-    # negation or a mode permutation of another, so none repeats a ratio
+    # per mode count, one contraction over every alpha of the grid, each
+    # alpha's rows max(1, n // 2) patterns: no pattern is the negation or a
+    # mode permutation of another, so none repeats a ratio
     calls = {}
-    real = search.sides_from_moments
+    real = search._sides
 
-    def recording(table, thetas, deltas, signs):
-        calls.setdefault(signs.shape[-1], []).append(
-            [tuple(row) for row in signs.tolist()])
-        return real(table, thetas, deltas, signs)
+    def recording(table, u, v, w, cosd, plus):
+        assert len(table.weights) == len(u) == len(plus)
+        calls.setdefault(plus.shape[-1], []).append(
+            [tuple(row) for row in np.where(plus, 1, -1).tolist()])
+        return real(table, u, v, w, cosd, plus)
 
-    monkeypatch.setattr(search, "sides_from_moments", recording)
-    scan_cat_family(range(1, 11), [0.4, 0.9], 1)
+    monkeypatch.setattr(search, "_sides", recording)
+    grid = [0.4, 0.9]
+    scan_cat_family(range(1, 11), grid, 1)
     for n in range(1, 11):
-        assert len(calls[n]) == 2
-        for patterns in calls[n]:
-            assert len(patterns) == max(1, n // 2)
+        [rows] = calls[n]
+        per_alpha = max(1, n // 2)
+        assert len(rows) == len(grid) * per_alpha
+        for lo in range(0, len(rows), per_alpha):
+            patterns = rows[lo:lo + per_alpha]
             assert all(signs[0] == 1 for signs in patterns)
             counts = [signs.count(-1) for signs in patterns]
             assert len(set(counts)) == len(counts)
             assert all(2 * m <= n for m in counts)
+
+
+def test_scan_keeps_its_stacked_tables_small():
+    # each contraction stacks the tables of a chunk of alphas, not of the
+    # whole grid: 2000 alphas x 5 patterns of a 10-mode cat's 240 entries
+    # would take about 38 MB at once
+    tracemalloc.start()
+    try:
+        [row] = scan_cat_family([10], default_alpha_grid(2000), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.ratio < 1
+    assert peak < 8 * 2 ** 20
 
 
 def test_optimizer_reads_one_moment_table(monkeypatch):
