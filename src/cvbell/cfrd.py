@@ -374,29 +374,25 @@ def _sides(table: MomentTable, u, v, w, cosd, plus: np.ndarray,
             _contract(table, table.rhs, rhs).real / cosd.prod(axis=-1))
 
 
-def _open_mode(table: MomentTable, thetas: np.ndarray, deltas: np.ndarray,
-               plus: np.ndarray, k: int,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Both sides at the settings rows (P, n) with mode k left open: F (P, 2)
-    on mode k's (a, a^dag), G (P, 4) on its (1, N, a^2, a^dag^2) and
-    r = prod_{j != k} cos delta_j (P,), so that
+def _open_mode(table: MomentTable, rows, plus: np.ndarray, k: int,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides at the ``_bogoliubov`` rows, (P, n) each, with mode k left
+    open: F (P, 2) on mode k's (a, a^dag), G (P, 4) on its (1, N, a^2,
+    a^dag^2) and r = prod_{j != k} cos delta_j (P,), so that
 
         beta = |u_k F_0 + v_k F_1|^2
                - Re[(1 - c_k/2) G_0 + G_1 + w_k G_2 + w_k* G_3] / (c_k r).
 
     Where s_k = -1, B(-1) = (v*, u*) on (a, a^dag) reads F as (F_1*, F_0*).
-    Each block is one ``_contract`` with mode k open, at the ``_bogoliubov``
-    rows of the other modes only, which come back fourth, (u, v, w, cos
-    delta) each of shape (P, n - 1), so that a caller who moves only mode k
-    computes only its row.
+    Each block is one ``_contract`` with mode k open, at the rows of the
+    other modes only. Callers hold it in ``_finite``.
     """
-    with _finite():
-        bogo = _bogoliubov(np.delete(thetas, k, axis=1), np.delete(deltas, k, axis=1))
-        forward, rhs = (_contract(table, block, coeffs, open=k) for block, coeffs in
-                        zip((table.forward, table.rhs),
-                            _block_rows(*bogo, np.delete(plus, k, axis=1))))
-        forward = np.where(plus[:, k, None], forward, forward[:, ::-1].conj())
-    return forward, rhs, bogo[3].prod(axis=1), bogo
+    closed = [np.delete(row, k, axis=1) for row in rows]
+    forward, rhs = (_contract(table, block, coeffs, open=k) for block, coeffs in
+                    zip((table.forward, table.rhs),
+                        _block_rows(*closed, np.delete(plus, k, axis=1))))
+    forward = np.where(plus[:, k, None], forward, forward[:, ::-1].conj())
+    return forward, rhs, closed[3].prod(axis=1)
 
 
 def sides_from_moments(table: MomentTable, thetas: np.ndarray,

@@ -9,13 +9,15 @@ through one contraction of the moment table that leaves mode k open
 (``cfrd._open_mode``): from it, beta is a + Re(b e^{2i theta_k}) in each
 theta_k and A / cos + B + C cos + D sin in each delta_k, with every
 coefficient in closed form, so each mode step has an exact maximizer and
-needs no probe. Every ascent reads one ``cfrd.MomentTable`` with
-``cfrd._contract``: a state's own table, which all its problems share, or a
-per-point table with one two-mode table per problem, as the two-mode batch
-stacks its states. The cat scan stacks per-point term-pair tables in the
-same way, one per (alpha, sign pattern) point of a chunk of its grid, and
-reads each chunk in one ``cfrd._sides`` contraction. The delta box stays
-strictly inside (-pi/2, pi/2) to avoid the 1/cos blow-up.
+needs no probe. Below the public API the angles enter only as their
+``cfrd._bogoliubov`` rows, which the ascent keeps beside them. Every ascent
+reads one ``cfrd.MomentTable`` with ``cfrd._contract``: a state's own
+table, which all its problems share, or a per-point table with one two-mode
+table per problem, as the two-mode batch stacks its states. The cat scan
+stacks per-point term-pair tables in the same way, one per (alpha, sign
+pattern) point of a chunk of its grid, and reads each chunk in one
+``cfrd._sides`` contraction. The delta box stays strictly inside
+(-pi/2, pi/2) to avoid the 1/cos blow-up.
 ``batched_nelder_mead`` is a batched box-constrained simplex that no search
 calls; it stays importable because ``perfbench/spans.py`` traces it.
 """
@@ -55,6 +57,8 @@ class SettingsSearchSpec:
             raise ValueError("restarts must be >= 1")
         if self.max_evals < 1:
             raise ValueError("evaluation budget must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_modes < 2:
             raise ValueError("a single mode has no nontrivial sign split "
                              "to search")
@@ -90,19 +94,20 @@ def optimize_settings(state, spec: SettingsSearchSpec) -> OptimizeResult:
     Every (sign pattern, restart) pair is one problem of a single ``_ascend``
     call, from seeded starts in the ``_box``, on the state's one
     ``moment_table`` and with each problem's own signs. ``max_evals`` caps
-    the evaluations: only as
-    many problems start as it can evaluate once, and the ascent ends at the
-    step it cannot pay for in full, which sets ``budget_exhausted``.
+    the evaluations: only as many problems start as it can evaluate once,
+    so only the sign patterns those problems use are formed, and the ascent
+    ends at the step it cannot pay for in full, which sets
+    ``budget_exhausted``.
     """
     n = spec.n_modes
     if n != state.n_modes:
         raise ValueError("search spec mode count does not match state")
-    signs = list(_sign_assignments(n))
-    problems = min(len(signs) * spec.restarts, spec.max_evals)
+    problems = min((2 ** (n - 1) - 1) * spec.restarts, spec.max_evals)
+    signs = list(itertools.islice(_sign_assignments(n), -(-problems // spec.restarts)))
     lo, hi = _box(n)
     rng = np.random.default_rng(spec.seed)
     x0 = lo + rng.random((problems, 2 * n)) * (hi - lo)
-    plus = np.repeat(signs, spec.restarts, axis=0)[:problems] == 1
+    plus = np.equal(signs, 1)[np.arange(problems) // spec.restarts]
     x, f, evals, exhausted = _ascend(moment_table(state), plus, x0, spec.max_evals)
     best = int(np.argmax(f))
     point = x[best].tolist()
@@ -179,70 +184,65 @@ def _mode_step(forward: np.ndarray, rhs: np.ndarray, r: np.ndarray,
     return theta, _delta_step(acd)
 
 
-def _beta(table, plus: np.ndarray, bogo) -> np.ndarray:
-    """beta = lhs - rhs of ``cfrd._sides`` at the ``_bogoliubov`` rows
-    ``bogo`` of the points."""
-    with _finite():
-        _, lhs, rhs = _sides(table, *bogo, plus)
-        return lhs - rhs
-
-
 def _ascend(table, plus: np.ndarray, x: np.ndarray, max_evals: float = math.inf):
     """Maximize many problems over their (thetas, deltas), x of shape
     (P, 2n), by exact block-coordinate ascent.
 
     ``table`` is one ``MomentTable`` that every problem reads, or a
     per-point one with a table per problem; ``plus`` (s == 1) holds one
-    sign row per problem, or one row that every problem shares. Each sweep
-    slices the rows of the problems still active once. A sweep takes one
-    step per mode: one open contraction (``cfrd._open_mode``), from which
-    ``_mode_step`` reads the exact theta_k and then the delta_k maximizer,
-    and one ``cfrd._sides`` evaluation of that candidate, which is kept only
-    if beta has not fallen; so beta never falls, and each value is that of
-    ``_sides`` at the point. The candidate's ``_bogoliubov`` rows are the
-    open contraction's rows of the other modes with mode k's new row put
-    in. Each counts as one evaluation per problem. A
-    problem stops after a sweep that raises its beta by at most
-    ``ASCENT_RTOL * max(1, |beta|)``, and all stop after ``ASCENT_SWEEPS``.
-    A step whose evaluations would pass ``max_evals`` covers only the first
-    problems the rest of the budget pays for, and ends the ascent. Returns
-    the points, their beta, the evaluations made and whether ``max_evals``
-    stopped the ascent.
+    sign row per problem, or one row that every problem shares. The
+    problems' ``_bogoliubov`` rows are formed once and kept beside x. Each
+    sweep slices the table and signs of the active problems once, and takes
+    one step per mode: ``_mode_step`` reads the exact theta_k and then
+    delta_k from one open contraction (``cfrd._open_mode``) of the rows,
+    and one ``cfrd._sides`` evaluation of a copy of them with mode k's new
+    row is kept only if beta has not fallen; so beta never falls, and each
+    value is that of ``_sides`` at the point. Each contraction counts as one
+    evaluation per problem. A problem stops after a sweep that raises its
+    beta by at most ``ASCENT_RTOL * max(1, |beta|)``, and all stop after
+    ``ASCENT_SWEEPS``. A step whose evaluations would pass ``max_evals``
+    covers only the first problems the rest of the budget pays for, and
+    ends the ascent. Returns the points, their beta, the evaluations made
+    and whether ``max_evals`` stopped the ascent.
     """
     x = np.array(x, dtype=float)
     n = x.shape[1] // 2
     plus = np.broadcast_to(plus, (len(x), n))
     rows = np.arange(len(x))
-    f = _beta(table, plus, _bogoliubov(x[:, :n], x[:, n:]))
+    bogo = _bogoliubov(x[:, :n], x[:, n:])
     evals = len(x)
-    for _ in range(ASCENT_SWEEPS):
-        before = f[rows]
-        active = table.at(rows), plus[rows]
-        for k in range(n):
-            part = rows[:int(min(len(rows), (max_evals - evals) // 2))]
-            if part.size == 0:
-                return x, f, evals, True
-            evals += 2 * len(part)
-            step_table, step_plus = (active if part.size == rows.size
-                                     else (table.at(part), plus[part]))
-            candidate = x[part]
-            *terms, closed = _open_mode(step_table, candidate[:, :n],
-                                        candidate[:, n:], step_plus, k)
-            with _finite():
-                candidate[:, k], candidate[:, n + k] = _mode_step(
-                    *terms, candidate[:, n + k])
-                row = _bogoliubov(candidate[:, k, None], candidate[:, n + k, None])
-            value = _beta(step_table, step_plus, [
-                np.concatenate((c[:, :k], new, c[:, k:]), axis=1)
-                for c, new in zip(closed, row)])
-            keep = value >= f[part]
-            x[part[keep]] = candidate[keep]
-            f[part[keep]] = value[keep]
-            if part.size < rows.size:
-                return x, f, evals, True
-        rows = rows[f[rows] - before > ASCENT_RTOL * np.maximum(1.0, np.abs(f[rows]))]
-        if rows.size == 0:
-            break
+    with _finite():
+        _, lhs, rhs = _sides(table, *bogo, plus)
+        f = lhs - rhs
+        for _ in range(ASCENT_SWEEPS):
+            before = f[rows]
+            active = table.at(rows), plus[rows]
+            for k in range(n):
+                part = rows[:int(min(len(rows), (max_evals - evals) // 2))]
+                if part.size == 0:
+                    return x, f, evals, True
+                evals += 2 * len(part)
+                step_table, step_plus = (active if part.size == rows.size
+                                         else (table.at(part), plus[part]))
+                candidate = [b[part] for b in bogo]
+                theta, delta = _mode_step(
+                    *_open_mode(step_table, candidate, step_plus, k), x[part, n + k])
+                for b, new in zip(candidate, _bogoliubov(theta, delta)):
+                    b[:, k] = new
+                _, lhs, rhs = _sides(step_table, *candidate, step_plus)
+                value = lhs - rhs
+                keep = value >= f[part]
+                kept = part[keep]
+                x[kept, k], x[kept, n + k] = theta[keep], delta[keep]
+                f[kept] = value[keep]
+                for b, c in zip(bogo, candidate):
+                    b[kept] = c[keep]
+                if part.size < rows.size:
+                    return x, f, evals, True
+            rows = rows[f[rows] - before
+                        > ASCENT_RTOL * np.maximum(1.0, np.abs(f[rows]))]
+            if rows.size == 0:
+                break
     return x, f, evals, False
 
 

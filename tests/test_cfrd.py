@@ -638,7 +638,7 @@ def test_open_mode_terms_rebuild_beta(state):
     # with every other mode at its angles, beta depends on mode k only
     # through the open contraction (F, G, r): each mode, both of its signs,
     # at random (theta_k, delta_k)
-    from cvbell.cfrd import _open_mode, moment_table, sides_from_moments
+    from cvbell.cfrd import _bogoliubov, _open_mode, moment_table, sides_from_moments
 
     n = state.n_modes
     rng = np.random.default_rng(n)
@@ -648,7 +648,8 @@ def test_open_mode_terms_rebuild_beta(state):
     signs = rng.choice([1, -1], (8, n))
     for k in range(n):
         signs[:, k] = [1, -1] * 4
-        forward, rhs, r, _ = _open_mode(table, thetas, deltas, signs == 1, k)
+        forward, rhs, r = _open_mode(table, _bogoliubov(thetas, deltas),
+                                     signs == 1, k)
         at_thetas = np.repeat(thetas[:, None], 16, axis=1)
         at_deltas = np.repeat(deltas[:, None], 16, axis=1)
         at_thetas[..., k] = rng.uniform(0, 2 * math.pi, (8, 16))
@@ -704,13 +705,14 @@ def test_per_point_table_matches_each_states_own_table():
         deltas = rng.uniform(-DELTA_EDGE, DELTA_EDGE, (len(states) * rows, n))
         plus = rng.choice([True, False], (len(states) * rows, n))
         _, lhs, rhs = _sides(table, *_bogoliubov(thetas, deltas), plus)
-        opened = [_open_mode(table, thetas, deltas, plus, k)[:3] for k in range(n)]
+        opened = [_open_mode(table, _bogoliubov(thetas, deltas), plus, k)
+                  for k in range(n)]
         for i, state in enumerate(states):
             own, at = moment_table(state), slice(i * rows, (i + 1) * rows)
             _, own_lhs, own_rhs = _sides(own, *_bogoliubov(thetas[at], deltas[at]),
                                          plus[at])
-            own_opened = [_open_mode(own, thetas[at], deltas[at], plus[at], k)[:3]
-                          for k in range(n)]
+            own_opened = [_open_mode(own, _bogoliubov(thetas[at], deltas[at]),
+                                     plus[at], k) for k in range(n)]
             if table.weights is None and isinstance(state, StructuredState):
                 want = own_lhs - own_rhs
                 slack = 1e-15 * np.maximum(1.0, np.abs(want))

@@ -368,6 +368,7 @@ SCAN = ["scan", "--family", "cat", "--n-min", "1", "--n-max", "2",
 
 @pytest.mark.parametrize("argv", [
     ["optimize", "{one_mode}"],
+    ["optimize", "{two_mode}", "--seed=-1"],
     SCAN + ["--alpha-points", "0"],
     SCAN + ["--alpha-min", "0"],
     SCAN + ["--alpha-min", "-1"],
@@ -378,13 +379,16 @@ SCAN = ["scan", "--family", "cat", "--n-min", "1", "--n-max", "2",
     SCAN + ["--out", "{tmp}/missing/x.csv"],
     SCAN + ["--alpha-min", "1e-9", "--alpha-max", "1e-8", "--alpha-points", "2",
             "--sign", "-1"],
-], ids=["optimize-one-mode", "alpha-points-0", "alpha-min-0",
-        "alpha-min-negative", "alpha-max-nan", "alpha-max-inf", "n-min-0",
-        "n-min-above-n-max", "out-dir-missing", "odd-cat-without-norm"])
+], ids=["optimize-one-mode", "optimize-seed-negative", "alpha-points-0",
+        "alpha-min-0", "alpha-min-negative", "alpha-max-nan", "alpha-max-inf",
+        "n-min-0", "n-min-above-n-max", "out-dir-missing", "odd-cat-without-norm"])
 def test_optimize_and_scan_argument_errors(tmp_path, capsys, argv):
     one_mode = write_spec(tmp_path, {"type": "basis", "occupations": [1],
                                      "cutoff": 3})
-    argv = [a.format(one_mode=one_mode, tmp=tmp_path) for a in argv]
+    two_mode = write_spec(tmp_path, {"type": "basis", "occupations": [1, 0],
+                                     "cutoff": 3}, "two.json")
+    argv = [a.format(one_mode=one_mode, two_mode=two_mode, tmp=tmp_path)
+            for a in argv]
     if argv[0] == "scan" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "scan.csv")]
     code = main(argv)

@@ -24,6 +24,8 @@ def test_search_spec_validation():
         SettingsSearchSpec(n_modes=2, restarts=0)
     with pytest.raises(ValueError):
         SettingsSearchSpec(n_modes=2, max_evals=0)
+    with pytest.raises(ValueError, match="seed"):
+        SettingsSearchSpec(n_modes=2, seed=-1)
     with pytest.raises(ValueError, match="single mode"):
         SettingsSearchSpec(n_modes=1)
 
@@ -127,10 +129,10 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
         points += len(u)
         return real_sides(table, u, *args)
 
-    def counted_open(table, thetas, *args):
+    def counted_open(table, rows, *args):
         nonlocal points
-        points += len(thetas)
-        return real_open(table, thetas, *args)
+        points += len(rows[0])
+        return real_open(table, rows, *args)
 
     monkeypatch.setattr(search, "_sides", counted)
     monkeypatch.setattr(search, "_open_mode", counted_open)
@@ -152,17 +154,60 @@ def test_ascent_stops_once_the_budget_is_spent(monkeypatch):
             assert res.report == free.report
 
 
+def test_each_mode_step_forms_one_new_bogoliubov_row_per_problem(monkeypatch):
+    # the ascent forms each problem's rows once, from its start, and then
+    # only mode k's new row per active problem at each mode step; _open_mode
+    # reads the rows it is given, so cfrd forms only the report's one row
+    from cvbell import cfrd
+
+    events, in_cfrd = [], []
+    real_bogo, real_sides, real_open = (search._bogoliubov, search._sides,
+                                        search._open_mode)
+
+    def counted_bogo(thetas, deltas):
+        events.append(("rows", np.size(thetas)))
+        return real_bogo(thetas, deltas)
+
+    def cfrd_bogo(thetas, deltas):
+        in_cfrd.append(np.size(thetas))
+        return real_bogo(thetas, deltas)
+
+    def counted_sides(table, u, *args):
+        events.append(("sides", len(u)))
+        return real_sides(table, u, *args)
+
+    def counted_open(table, rows, *args):
+        events.append(("open", len(rows[0])))
+        return real_open(table, rows, *args)
+
+    monkeypatch.setattr(search, "_bogoliubov", counted_bogo)
+    monkeypatch.setattr(search, "_sides", counted_sides)
+    monkeypatch.setattr(search, "_open_mode", counted_open)
+    monkeypatch.setattr(cfrd, "_bogoliubov", cfrd_bogo)
+    state = random_state(ModeSpec(3, 5), "mixed", 2, 3)
+    res = optimize_settings(state, SettingsSearchSpec(n_modes=3, restarts=2, seed=1))
+    problems = 3 * 2
+    assert events[:2] == [("rows", problems * 3), ("sides", problems)]
+    steps = events[2:]
+    assert len(steps) % 3 == 0 and len(steps) > 0
+    for (opened, m), made, evaluated in zip(*[iter(steps)] * 3):
+        assert opened == "open" and made == ("rows", m) and evaluated == ("sides", m)
+    assert res.evaluations == problems + 2 * sum(m for _, m in steps[::3])
+    assert in_cfrd == [3]
+
+
 def _sides_objective(state, row_signs):
     """(table, open_mode, evaluate) of optimize_settings's ascent on
     ``state``, one problem per row of ``row_signs``, read at each call;
     ``open_mode`` gives the open contraction's (F, G, r), and ``evaluate``
     reads beta through sides_from_moments."""
-    from cvbell.cfrd import moment_table, sides_from_moments
+    from cvbell.cfrd import _bogoliubov, moment_table, sides_from_moments
 
     n, table = state.n_modes, moment_table(state)
 
     def open_mode(x, k):
-        return search._open_mode(table, x[:, :n], x[:, n:], row_signs == 1, k)[:3]
+        return search._open_mode(table, _bogoliubov(x[:, :n], x[:, n:]),
+                                 row_signs == 1, k)
 
     def evaluate(x):
         lhs, rhs = sides_from_moments(table, x[:, :n], x[:, n:], row_signs)
@@ -240,6 +285,26 @@ def test_budget_edges_leave_a_finite_best(max_evals):
     assert res.evaluations <= max_evals
     assert res.budget_exhausted
     assert math.isfinite(res.report.beta)
+
+
+def test_optimizer_forms_only_the_problems_its_budget_starts():
+    # max_evals caps the problems before any (sign pattern, restart) row is
+    # formed: 100 evaluations start 100 of an 18-mode Fock pair's 131 071
+    # patterns, or of a cat's 10^7 restarts, whose rows would take about
+    # 60 MB and 150 MB
+    cases = [(structured.make_fock_pair(18, range(9)), 1, 20 * 2 ** 20),
+             (make_cat_family(2, 0.8, 1), 10 ** 7, 8 * 2 ** 20)]
+    for state, restarts, limit in cases:
+        tracemalloc.start()
+        try:
+            res = optimize_settings(state, SettingsSearchSpec(
+                n_modes=state.n_modes, restarts=restarts, seed=0, max_evals=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == 100 and res.budget_exhausted
+        assert math.isfinite(res.report.beta)
+        assert peak < limit
 
 
 def test_dense_three_modes_reaches_its_best_beta():
@@ -394,7 +459,7 @@ def test_two_mode_blocks_open_mode_rebuilds_beta_from_table():
     # sub-blocks: each mode and sign pattern, at random (theta_k, delta_k) of
     # every state
     from cvbell import beta_from_table
-    from cvbell.cfrd import _open_mode, _two_mode_blocks
+    from cvbell.cfrd import _bogoliubov, _open_mode, _two_mode_blocks
 
     tables = _two_mode_tables(64, seed=12)
     table = _two_mode_blocks(tables)
@@ -403,8 +468,8 @@ def test_two_mode_blocks_open_mode_rebuilds_beta_from_table():
     for signs in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
         x = lo + rng.random((64, 4)) * (hi - lo)
         for k in range(2):
-            forward, rhs, r, _ = _open_mode(table, x[:, :2], x[:, 2:],
-                                            np.equal([signs], 1), k)
+            forward, rhs, r = _open_mode(table, _bogoliubov(x[:, :2], x[:, 2:]),
+                                         np.equal([signs], 1), k)
             at = np.repeat(x[:, None], 16, axis=1)
             at[..., k] = rng.uniform(lo[k], hi[k], (64, 16))
             at[..., 2 + k] = rng.uniform(lo[2 + k], hi[2 + k], (64, 16))
